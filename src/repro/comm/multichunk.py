@@ -447,6 +447,8 @@ class MultiChunkPort(Port):
                     )
                     unpack_edge(arr, h, depth, side, buffer)
                     port._launch("halo_unpack", cells=buffer.size)
+            if name in (F.KX, F.KY):
+                port._invalidate_diag()
 
     # ------------------------------------------------------------------ #
     # kernels: delegate, allreduce the reductions
@@ -500,6 +502,7 @@ class MultiChunkPort(Port):
                 wl, wc = w[h + sg.ny - 1, cols], w[h + sg.ny, cols]
                 ky[h + sg.ny, cols] = ry * (wl + wc) / (2.0 * wl * wc)
                 port._launch("halo_update", cells=sg.nx)
+            port._invalidate_diag()
 
     def tea_leaf_residual(self) -> None:
         self._all("tea_leaf_residual")

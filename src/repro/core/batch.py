@@ -13,9 +13,9 @@ be swept by one call over the batched views.
 Bitwise contract: the lane axis only ever broadcasts.  Elementwise
 arithmetic on an ``(H, W, k)`` view computes, per lane, exactly the
 float64 operations of the sequential ``(H, W)`` run, and
-:meth:`BatchContext.reduce` feeds each lane's interior to
-``deterministic_sum`` in the identical element order — so every deck's
-results are bit-for-bit its solo run's, batched or not.
+:meth:`BatchContext.reduce` folds every lane's interior, in the
+identical element order, through one ``deterministic_multi_sum`` call —
+so every deck's results are bit-for-bit its solo run's, batched or not.
 
 Lanes need not stay in lockstep.  A lane whose CG converges early moves
 on to its epilogue (or next timestep) while the others iterate; a round
@@ -37,6 +37,8 @@ from typing import Any
 import numpy as np
 
 from repro.core.deck import Deck
+from repro.models.arena import DIAG_BLOCK
+from repro.models.reduction import deterministic_multi_sum
 from repro.util.errors import DeckError, ModelError
 
 
@@ -47,22 +49,36 @@ class BatchContext:
     """A CodegenContext look-alike whose arrays carry a trailing lane axis.
 
     Generated functions (:mod:`repro.models.codegen`) consume ``ctx``
-    through a narrow surface — ``array``, the geometry scalars, the
-    interior slices, and ``reduce`` — so substituting batched views and a
-    per-lane reduction turns every cached single-deck function into an
-    N-deck sweep with no recompilation.
+    through a narrow surface — ``array``, ``diag``, the geometry scalars,
+    the interior slices, and ``reduce`` — so substituting batched views
+    and a per-lane reduction turns every cached single-deck function into
+    an N-deck sweep with no recompilation.  ``ports`` are the lanes'
+    ports, whose cached diag(A) rows the ``diag`` view spans.
     """
 
     __slots__ = (
-        "array", "h", "nx", "ny", "dx2", "dy2",
+        "array", "diag", "h", "nx", "ny", "dx2", "dy2",
         "I", "Ip", "Im", "J", "Jp", "Jm",
     )
 
     def __init__(
-        self, arena: Any, lane0: int, count: int, grid: Any, order: str
+        self,
+        arena: Any,
+        lane0: int,
+        count: int,
+        grid: Any,
+        order: str,
+        ports: tuple[Any, ...] = (),
     ) -> None:
         shape = grid.shape
         self.array = lambda name: arena.batched(name, lane0, count, shape, order)
+
+        def diag() -> np.ndarray:
+            for port in ports:
+                port._diag()  # refreshes a stale lane row in place
+            return arena.batched(DIAG_BLOCK, lane0, count, shape, order)
+
+        self.diag = diag
         h, nx, ny = grid.halo, grid.nx, grid.ny
         self.h, self.nx, self.ny = h, nx, ny
         self.dx2 = grid.dx * grid.dx
@@ -74,21 +90,15 @@ class BatchContext:
         self.Jp = slice(h + 1, h + nx + 1)
         self.Jm = slice(h - 1, h + nx - 1)
 
-    def reduce(self, values: np.ndarray) -> np.ndarray:
-        """Per-lane deterministic interior reduction -> ``(k,)`` vector.
+    def reduce(self, values: np.ndarray) -> tuple[float, ...]:
+        """Per-lane deterministic interior reductions, folded in one call.
 
-        ``values[..., l]`` ravels to the same C-order element sequence
-        the sequential context reduces, so each lane's sum is bitwise
-        its solo result.
+        Row ``l`` of the lane-major ``(k, n)`` view is lane ``l``'s
+        interior in C order — the sequence the sequential context reduces
+        — so each lane's sum is bitwise its solo result.
         """
-        from repro.models.reduction import deterministic_sum
-
-        return np.array(
-            [
-                deterministic_sum(np.ascontiguousarray(values[..., l]).ravel())
-                for l in range(values.shape[-1])
-            ]
-        )
+        lanes = np.moveaxis(values, -1, 0)
+        return deterministic_multi_sum(lanes.reshape(len(lanes), -1))
 
 
 # --------------------------------------------------------------------- #
@@ -182,7 +192,12 @@ class BatchConductor:
         lane0, count = run[0], len(run)
         port0, step, _ = self._waiting[lane0]
         ctx = BatchContext(
-            self._arena, lane0, count, self._grid, port0.field_memory_order()
+            self._arena,
+            lane0,
+            count,
+            self._grid,
+            port0.field_memory_order(),
+            tuple(self._waiting[lane][0] for lane in run),
         )
         stacked = self._stack_argv(run)
         # Trace + residency fidelity: every lane's port records the same
@@ -379,6 +394,13 @@ def run_batch(
         hashlib.sha256(app.field(F.U).tobytes()).hexdigest()[:16]
         for app in apps
     ]
+    # Each lane's port and executor point at each other, and the port's
+    # codegen context holds its bound methods.  Unhook both so the lanes
+    # and the arena are freed when the batch returns, not at the next
+    # full garbage collection: a batch loop's memory then stays flat.
+    for app in apps:
+        app.port.plan_executor = None
+        app.port._codegen_ctx_cache = None
 
     return BatchResult(
         results=results,

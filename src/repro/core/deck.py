@@ -29,9 +29,12 @@ Example
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+
+import numpy as np
 
 from repro.core.grid import Grid2D
 from repro.core.state import Geometry, State
@@ -143,6 +146,9 @@ class Deck:
     states: tuple[State, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        for key in ("initial_timestep", "xmin", "xmax", "ymin", "ymax"):
+            if not math.isfinite(getattr(self, key)):
+                raise DeckError(f"{key} must be finite, got {getattr(self, key)!r}")
         if self.x_cells < 1 or self.y_cells < 1:
             raise DeckError("x_cells and y_cells must be positive")
         if self.initial_timestep <= 0:
@@ -230,6 +236,37 @@ class Deck:
                 )
         if self.states and not any(s.index == 1 for s in self.states):
             raise DeckError("state 1 (the background) is missing")
+        if self.states:
+            self._check_face_coefficients()
+
+    def _check_face_coefficients(self) -> None:
+        """Reject states whose face coefficients kx/ky are not finite.
+
+        Every cell takes its density from exactly one state, so each face
+        coefficient tea_leaf_init builds comes from a pair of state
+        densities.  A non-finite one (``density=1e-300`` underflows
+        ``2 wa wb`` to zero, say) would poison diag(A) and every matvec of
+        the solve, so it fails here rather than mid-solve.
+        """
+        from repro.core.operators import conduction_coefficient
+        from repro.models.stencil import face_coefficient
+
+        grid = self.grid()
+        density = np.array([s.density for s in self.states])
+        with np.errstate(all="ignore"):
+            w = conduction_coefficient(density, self.tl_coefficient)
+            for axis, d in (("x", grid.dx), ("y", grid.dy)):
+                scale = self.initial_timestep / (d * d)
+                k = face_coefficient(w[:, None], w[None, :], scale)
+                bad = np.argwhere(~np.isfinite(k))
+                if bad.size:
+                    a, b = (self.states[i] for i in bad[0])
+                    raise DeckError(
+                        f"{axis}-face coefficient between state {a.index} "
+                        f"(density {a.density!r}) and state {b.index} "
+                        f"(density {b.density!r}) is {float(k[tuple(bad[0])])!r}, "
+                        "not finite"
+                    )
 
     def grid(self) -> Grid2D:
         """Construct the grid geometry this deck describes."""

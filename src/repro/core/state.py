@@ -9,6 +9,7 @@ kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -51,6 +52,12 @@ class State:
     def __post_init__(self) -> None:
         if self.index < 1:
             raise DeckError(f"state indices start at 1, got {self.index}")
+        for key in ("density", "energy", "xmin", "xmax", "ymin", "ymax", "radius"):
+            if not math.isfinite(getattr(self, key)):
+                raise DeckError(
+                    f"state {self.index}: {key} must be finite, "
+                    f"got {getattr(self, key)!r}"
+                )
         if self.density <= 0.0:
             raise DeckError(f"state {self.index}: density must be positive")
         if self.energy < 0.0:

@@ -26,6 +26,10 @@ import numpy as np
 from repro.core import fields as F
 from repro.models.plan import FieldLiveness, Plan, compute_liveness
 
+#: Block key of the lanes' cached diag(A) rows.  diag(A) is derived
+#: state, not a field: it has no liveness slot and is never poisoned.
+DIAG_BLOCK = "diag"
+
 
 def solve_timeline(deck: Any, halo: int) -> list[Plan]:
     """The canonical cyclic plan timeline of one timestep of ``deck``.
@@ -93,6 +97,7 @@ class FieldArena:
                 self._blocks[name] = np.zeros((self.lanes, self.words))
             else:
                 self._blocks[name] = self._slot_blocks[slot]
+        self._blocks[DIAG_BLOCK] = np.zeros((self.lanes, self.words))
         #: Other fields aliasing each field's bytes (empty for private
         #: blocks) — residency invalidation must cover them on writes.
         self.partners: dict[str, tuple[str, ...]] = {}
@@ -135,13 +140,15 @@ class FieldArena:
     def bind_port(self, port: Any, lane: int) -> None:
         """Rebind every field of ``port`` onto this arena's ``lane``.
 
-        Also installs the slot-partner map so the port's residency
+        Also backs the port's cached diag(A) with the lane's row of the
+        diag block, installs the slot-partner map so the port's residency
         dirty-tracking knows a write to one field clobbers the mirrors
         of everything sharing its slot, and drops any existing mirrors —
         the bytes behind every field just changed owners.
         """
         for name in F.FIELD_ORDER:
             port.bind_field(name, self.lane_flat(name, lane))
+        port.bind_diag(self.lane_flat(DIAG_BLOCK, lane))
         port._slot_partners = dict(self.partners)
         port.invalidate_residency(F.FIELD_ORDER)
 

@@ -20,6 +20,7 @@ from repro.core import operators as ops
 from repro.core.grid import Grid2D
 from repro.core.kernels import KERNELS, KernelSpec
 from repro.models.plan import OPS, KernelCall, fused_spec
+from repro.models.stencil import row_diag
 from repro.models.tracing import Trace, TransferDirection
 from repro.util.errors import ModelError
 
@@ -196,9 +197,15 @@ class Port(ABC):
     _slot_partners: Mapping[str, tuple[str, ...]] = {}
 
     def _mark_dirty(self, names: Iterable[str]) -> None:
-        """Residency hook: ``names`` were written on the device."""
+        """``names`` were written on the device.
+
+        Drops the cached diag(A) when a coefficient changed, and with
+        residency tracking on, marks the fields' host mirrors stale.
+        """
+        names = tuple(names)
+        if F.KX in names or F.KY in names:
+            self._invalidate_diag()
         if self._residency_enabled:
-            names = tuple(names)
             self._dirty_fields.update(names)
             if self._slot_partners:
                 for name in names:
@@ -223,11 +230,15 @@ class Port(ABC):
         recovery) overwrites fields through the host interface: the
         fields' host mirrors are stale and their device copies are about
         to be replaced, so the next consumer must take the upload/readback
-        path.  A no-op when residency tracking is off.
+        path.  The cached diag(A) is dropped too when ``names`` include a
+        coefficient; the rest is a no-op when residency tracking is off.
         """
+        names = tuple(names)
+        if F.KX in names or F.KY in names:
+            self._invalidate_diag()
         if not self._residency_enabled:
             return
-        for name in tuple(names):
+        for name in names:
             self._host_mirror.pop(name, None)
             self._dirty_fields.add(name)
 
@@ -264,6 +275,61 @@ class Port(ABC):
             f"port '{self.model_name}' does not support external field "
             f"backing (supports_field_binding=False)"
         )
+
+    # ------------------------------------------------------------------ #
+    # diag(A), computed once per write of kx/ky
+    # ------------------------------------------------------------------ #
+    #: Flat backing of the cached diag(A) (``grid.shape`` words in
+    #: :meth:`field_memory_order`), allocated on first use or bound to an
+    #: arena lane by :meth:`bind_diag`; ``_diag_2d`` is its 2-D view.
+    _diag_flat: np.ndarray | None = None
+    _diag_2d: np.ndarray | None = None
+    #: False until diag(A) is computed, and again after every write that
+    #: may change kx or ky (see :meth:`_mark_dirty`).
+    _diag_fresh: bool = False
+
+    def bind_diag(self, flat: np.ndarray) -> None:
+        """Back the cached diag(A) with an external flat buffer.
+
+        A batch arena hands each lane one row of a lane-major block, so a
+        batched sweep reads every lane's diag(A) through one strided view.
+        """
+        self._diag_flat = flat
+        self._diag_2d = flat.reshape(self.grid.shape, order=self.field_memory_order())
+        self._invalidate_diag()
+
+    def _invalidate_diag(self) -> None:
+        """kx or ky may have changed: recompute diag(A) on next use."""
+        self._diag_fresh = False
+
+    def _diag(self) -> np.ndarray:
+        """diag(A) = 1 + kxE + kxW + kyN + kyS as a padded 2-D array.
+
+        Valid on the interior only.  It is recomputed from the arrays the
+        kernels read (:meth:`_device_array`) on the first call after
+        kx or ky changed, so every sweep in between reads the same bits
+        the per-call expression produced.
+        """
+        if not self._diag_fresh:
+            if self._diag_2d is None:
+                self.bind_diag(np.zeros(self.grid.shape[0] * self.grid.shape[1]))
+            h, nx, ny = self.h, self.grid.nx, self.grid.ny
+            I, J = slice(h, h + ny), slice(h, h + nx)
+            self._diag_2d[I, J] = row_diag(
+                self._device_array(F.KX),
+                self._device_array(F.KY),
+                I,
+                slice(h + 1, h + ny + 1),
+                J,
+                slice(h + 1, h + nx + 1),
+            )
+            self._diag_fresh = True
+        return self._diag_2d
+
+    def _diag_flat_view(self) -> np.ndarray:
+        """:meth:`_diag` as the flat array flat-index kernels address."""
+        self._diag()
+        return self._diag_flat
 
     # ------------------------------------------------------------------ #
     # the dispatch core
@@ -335,7 +401,7 @@ class Port(ABC):
         if ctx is None:
             from repro.models.codegen import CodegenContext
 
-            ctx = CodegenContext(self._device_array, self.grid)
+            ctx = CodegenContext(self._device_array, self.grid, self._diag)
             self._codegen_ctx_cache = ctx
         return ctx
 

@@ -14,11 +14,11 @@ Bitwise contract
 ----------------
 Generated bodies reuse the exact shared arithmetic helpers the
 interpreted ports use (:func:`~repro.models.stencil.row_matvec`,
-:func:`~repro.models.stencil.row_diag`,
 :func:`~repro.models.stencil.face_coefficient`,
 :func:`~repro.models.loopbodies.zero_boundary_coefficients`) with the
-same association orders over the same full-interior slices, and every
-reduction feeds its row-major contribution vector through
+same association orders over the same full-interior slices, read the
+port's cached diag(A) through ``ctx.diag()`` as the interpreted bodies
+do, and every reduction feeds its row-major contribution vector through
 :func:`~repro.models.reduction.deterministic_sum` — the same pairwise
 tree every port finalises with.  A codegen run is therefore
 bit-for-bit identical to the interpreted run on every port.
@@ -52,7 +52,7 @@ from repro.core.operators import RECIP_CONDUCTIVITY
 from repro.models.loopbodies import zero_boundary_coefficients
 from repro.models.plan import OPS, Bind, CompiledKernel, FusedGroup, KernelCall
 from repro.models.reduction import deterministic_sum
-from repro.models.stencil import face_coefficient, row_diag, row_matvec
+from repro.models.stencil import face_coefficient, row_matvec
 
 
 class CodegenContext:
@@ -61,13 +61,15 @@ class CodegenContext:
     One per port, built lazily by ``Port._codegen_ctx``.  ``array`` is
     the port's ``_device_array`` accessor — the same arrays the halo
     logic mutates — so generated writes land exactly where the
-    interpreted ``_k_*`` primitives write.  ``dx2``/``dy2`` are the
-    precomputed squares: ports compute ``rx = dt / (dx*dx)``, and the
-    generated code must divide by the identical product to match bits.
+    interpreted ``_k_*`` primitives write.  ``diag`` is the port's
+    ``_diag``: the cached diag(A), refreshed after kx/ky change.
+    ``dx2``/``dy2`` are the precomputed squares: ports compute
+    ``rx = dt / (dx*dx)``, and the generated code must divide by the
+    identical product to match bits.
     """
 
     __slots__ = (
-        "array", "h", "nx", "ny", "dx2", "dy2",
+        "array", "diag", "h", "nx", "ny", "dx2", "dy2",
         "I", "Ip", "Im", "J", "Jp", "Jm",
     )
 
@@ -77,15 +79,21 @@ class CodegenContext:
         Generated bodies route every reduction through the context's
         ``reduce`` (bound as ``RD`` in the preamble) instead of calling
         ``deterministic_sum`` directly, so a batched context
-        (:class:`repro.core.batch.BatchContext`) can substitute a
-        per-lane loop over the trailing lane axis while each lane's sum
+        (:class:`repro.core.batch.BatchContext`) can substitute one fold
+        over every lane of the trailing lane axis while each lane's sum
         stays bitwise the sequential one.
         """
         return deterministic_sum(values.ravel())
 
-    def __init__(self, array: Callable[[str], np.ndarray], grid: Any) -> None:
+    def __init__(
+        self,
+        array: Callable[[str], np.ndarray],
+        grid: Any,
+        diag: Callable[[], np.ndarray],
+    ) -> None:
         h, nx, ny = grid.halo, grid.nx, grid.ny
         self.array = array
+        self.diag = diag
         self.h, self.nx, self.ny = h, nx, ny
         self.dx2 = grid.dx * grid.dx
         self.dy2 = grid.dy * grid.dy
@@ -119,10 +127,12 @@ class _Template:
     emit: Callable[[list[str], tuple, int], None]
     baked: tuple[int, ...] = ()
     launches: Callable[[KernelCall], tuple[tuple[str, KernelSpec | None], ...]] | None = None
+    #: The body reads the cached diag(A) (bound as ``v_diag``).
+    diag: bool = False
 
 
 def _mv(v: str) -> str:
-    return f"row_matvec(v_{v}, v_kx, v_ky, I, Im, Ip, J, Jm, Jp)"
+    return f"row_matvec(v_{v}, v_diag, v_kx, v_ky, I, Im, Ip, J, Jm, Jp)"
 
 
 _NONE = "res.append(None)"
@@ -237,7 +247,7 @@ def _e_ppcg_precon_inner(L: list[str], args: tuple, k: int) -> None:
 
 def _e_cg_precon_jacobi(L: list[str], args: tuple, k: int) -> None:
     L += [
-        "v_z[I, J] = v_r[I, J] / row_diag(v_kx, v_ky, I, Ip, J, Jp)",
+        "v_z[I, J] = v_r[I, J] / v_diag[I, J]",
         _NONE,
     ]
 
@@ -247,11 +257,10 @@ def _e_jacobi_iterate(L: list[str], args: tuple, k: int) -> None:
     # only free array), sweep u from it, return sum |u_new - u_old|.
     L += [
         "v_r[...] = v_u",
-        f"diag_{k} = row_diag(v_kx, v_ky, I, Ip, J, Jp)",
         "v_u[I, J] = (v_u0[I, J]"
         " + v_kx[I, Jp] * v_r[I, Jp] + v_kx[I, J] * v_r[I, Jm]"
         " + v_ky[Ip, J] * v_r[Ip, J] + v_ky[I, J] * v_r[Im, J]"
-        f") / diag_{k}",
+        ") / v_diag[I, J]",
         "res.append(RD(np.abs(v_u[I, J] - v_r[I, J])))",
     ]
 
@@ -285,34 +294,37 @@ _TEMPLATES: dict[str, _Template] = {
         _static(F.DENSITY, F.ENERGY1, F.U, F.U0, F.KX, F.KY), _e_tea_leaf_init
     ),
     "tea_leaf_residual": _Template(
-        _static(F.U0, F.U, F.KX, F.KY, F.R), _e_tea_leaf_residual
+        _static(F.U0, F.U, F.KX, F.KY, F.R), _e_tea_leaf_residual, diag=True
     ),
     "cg_init": _Template(
-        _static(F.U, F.U0, F.KX, F.KY, F.W, F.R, F.P), _e_cg_init
+        _static(F.U, F.U0, F.KX, F.KY, F.W, F.R, F.P), _e_cg_init, diag=True
     ),
-    "cg_calc_w": _Template(_static(F.P, F.KX, F.KY, F.W), _e_cg_calc_w),
+    "cg_calc_w": _Template(
+        _static(F.P, F.KX, F.KY, F.W), _e_cg_calc_w, diag=True
+    ),
     "cg_calc_ur": _Template(_static(F.U, F.R, F.P, F.W), _e_cg_calc_ur),
     "cg_calc_p": _Template(_static(F.R, F.P), _e_cg_calc_p),
     "ppcg_calc_p": _Template(_static(F.Z, F.P), _e_ppcg_calc_p),
     "cheby_init": _Template(
-        _static(F.U, F.U0, F.KX, F.KY, F.R, F.SD), _e_cheby_init
+        _static(F.U, F.U0, F.KX, F.KY, F.R, F.SD), _e_cheby_init, diag=True
     ),
     "cheby_iterate": _Template(
-        _static(F.R, F.SD, F.U, F.KX, F.KY), _e_cheby_iterate
+        _static(F.R, F.SD, F.U, F.KX, F.KY), _e_cheby_iterate, diag=True
     ),
     "ppcg_precon_init": _Template(
         _static(F.R, F.W, F.SD, F.Z), _e_ppcg_precon_init
     ),
     "ppcg_precon_inner": _Template(
-        _static(F.W, F.SD, F.Z, F.KX, F.KY), _e_ppcg_precon_inner
+        _static(F.W, F.SD, F.Z, F.KX, F.KY), _e_ppcg_precon_inner, diag=True
     ),
     "cg_precon_jacobi": _Template(
-        _static(F.R, F.KX, F.KY, F.Z), _e_cg_precon_jacobi
+        _static(F.R, F.Z), _e_cg_precon_jacobi, diag=True
     ),
     "jacobi_iterate": _Template(
         _static(F.U, F.U0, F.KX, F.KY, F.R),
         _e_jacobi_iterate,
         launches=lambda c: (("copy_field", None), ("jacobi_iterate", None)),
+        diag=True,
     ),
     "norm2_field": _Template(
         lambda args: (args[0],), _e_norm2_field, baked=(0,)
@@ -337,7 +349,6 @@ _GLOBALS: dict[str, Any] = {
     "np": np,
     "dsum": deterministic_sum,
     "row_matvec": row_matvec,
-    "row_diag": row_diag,
     "face_coefficient": face_coefficient,
     "zero_boundary_coefficients": zero_boundary_coefficients,
     "RECIP": RECIP_CONDUCTIVITY,
@@ -397,6 +408,8 @@ def generate_source(calls: tuple[KernelCall, ...]) -> str:
                 fetched.append(name)
     for name in fetched:
         lines.append(f"    v_{name} = A({name!r})")
+    if any(_TEMPLATES[c.op].diag for c in calls):
+        lines.append("    v_diag = ctx.diag()")
     lines.append("    res = []")
     for k, c in enumerate(calls):
         lines.append(f"    # -- {c.op}")

@@ -31,7 +31,7 @@ from repro.models.cuda.launch import Dim3, ThreadContext, blocks_for, launch
 from repro.models.cuda.reduction import block_reduce_sum
 from repro.models.cuda.runtime import CudaRuntime, DeviceAllocation, MemcpyKind
 from repro.models.reduction import combine_partials
-from repro.models.stencil import decode_interior, flat_diag, flat_matvec
+from repro.models.stencil import decode_interior, flat_matvec
 from repro.models.tracing import Trace
 from repro.util.errors import ModelError
 
@@ -47,8 +47,8 @@ def _interior_idx(ctx: ThreadContext, n: int, pitch: int, h: int, nx: int):
     return decode_interior(ctx.global_idx, n, pitch, h, nx)
 
 
-def _matvec(i, v, kx, ky, pitch):
-    return flat_matvec(i, v, kx, ky, 1, pitch)
+def _matvec(i, v, diag, kx, ky, pitch):
+    return flat_matvec(i, v, diag, kx, ky, 1, pitch)
 
 
 def cuda_set_field(ctx, n, pitch, h, nx, energy0, energy1):
@@ -70,14 +70,14 @@ def cuda_tea_leaf_init(ctx, n, pitch, h, nx, rx, ry, recip, density, energy, u, 
     ky[fy] = ry * (wy + wc) / (2.0 * wy * wc)
 
 
-def cuda_residual(ctx, n, pitch, h, nx, r, u0, u, kx, ky):
+def cuda_residual(ctx, n, pitch, h, nx, r, u0, u, diag, kx, ky):
     _, i, _, _ = _interior_idx(ctx, n, pitch, h, nx)
-    r[i] = u0[i] - _matvec(i, u, kx, ky, pitch)
+    r[i] = u0[i] - _matvec(i, u, diag, kx, ky, pitch)
 
 
-def cuda_cg_init(ctx, n, pitch, h, nx, u, u0, w, r, p, kx, ky, partials):
+def cuda_cg_init(ctx, n, pitch, h, nx, u, u0, w, r, p, diag, kx, ky, partials):
     valid, i, _, _ = _interior_idx(ctx, n, pitch, h, nx)
-    w[i] = _matvec(i, u, kx, ky, pitch)
+    w[i] = _matvec(i, u, diag, kx, ky, pitch)
     r[i] = u0[i] - w[i]
     p[i] = r[i]
     value = np.zeros(ctx.global_idx.size)
@@ -85,9 +85,9 @@ def cuda_cg_init(ctx, n, pitch, h, nx, u, u0, w, r, p, kx, ky, partials):
     partials[: ctx.gridDim_x] = block_reduce_sum(value, ctx.blockDim_x)
 
 
-def cuda_cg_calc_w(ctx, n, pitch, h, nx, p, w, kx, ky, partials):
+def cuda_cg_calc_w(ctx, n, pitch, h, nx, p, w, diag, kx, ky, partials):
     valid, i, _, _ = _interior_idx(ctx, n, pitch, h, nx)
-    w[i] = _matvec(i, p, kx, ky, pitch)
+    w[i] = _matvec(i, p, diag, kx, ky, pitch)
     value = np.zeros(ctx.global_idx.size)
     value[valid] = p[i] * w[i]
     partials[: ctx.gridDim_x] = block_reduce_sum(value, ctx.blockDim_x)
@@ -107,15 +107,15 @@ def cuda_axpy(ctx, n, pitch, h, nx, scale, dst, src):
     dst[i] = src[i] + scale * dst[i]
 
 
-def cuda_cheby_init(ctx, n, pitch, h, nx, theta, u, u0, r, sd, kx, ky):
+def cuda_cheby_init(ctx, n, pitch, h, nx, theta, u, u0, r, sd, diag, kx, ky):
     _, i, _, _ = _interior_idx(ctx, n, pitch, h, nx)
-    r[i] = u0[i] - _matvec(i, u, kx, ky, pitch)
+    r[i] = u0[i] - _matvec(i, u, diag, kx, ky, pitch)
     sd[i] = r[i] / theta
 
 
-def cuda_cheby_calc_r(ctx, n, pitch, h, nx, resid, sd, kx, ky):
+def cuda_cheby_calc_r(ctx, n, pitch, h, nx, resid, sd, diag, kx, ky):
     _, i, _, _ = _interior_idx(ctx, n, pitch, h, nx)
-    resid[i] -= _matvec(i, sd, kx, ky, pitch)
+    resid[i] -= _matvec(i, sd, diag, kx, ky, pitch)
 
 
 def cuda_cheby_calc_sd_u(ctx, n, pitch, h, nx, alpha, beta, sd, resid, accum):
@@ -136,21 +136,20 @@ def cuda_ppcg_precon_init(ctx, n, pitch, h, nx, theta, w, sd, z, r):
     z[i] = sd[i]
 
 
-def cuda_cg_precon(ctx, n, pitch, h, nx, z, r, kx, ky):
+def cuda_cg_precon(ctx, n, pitch, h, nx, z, r, diag):
     _, i, _, _ = _interior_idx(ctx, n, pitch, h, nx)
-    z[i] = r[i] / flat_diag(i, kx, ky, 1, pitch)
+    z[i] = r[i] / diag[i]
 
 
-def cuda_jacobi(ctx, n, pitch, h, nx, u, un, u0, kx, ky, partials):
+def cuda_jacobi(ctx, n, pitch, h, nx, u, un, u0, diag, kx, ky, partials):
     valid, i, _, _ = _interior_idx(ctx, n, pitch, h, nx)
-    diag = flat_diag(i, kx, ky, 1, pitch)
     u[i] = (
         u0[i]
         + kx[i + 1] * un[i + 1]
         + kx[i] * un[i - 1]
         + ky[i + pitch] * un[i + pitch]
         + ky[i] * un[i - pitch]
-    ) / diag
+    ) / diag[i]
     value = np.zeros(ctx.global_idx.size)
     value[valid] = np.abs(u[i] - un[i])
     partials[: ctx.gridDim_x] = block_reduce_sum(value, ctx.blockDim_x)
@@ -298,6 +297,10 @@ class CUDAPort(Port):
     def _d(self, name: str) -> np.ndarray:
         return self.dev[name].data
 
+    def _stencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(diag, kx, ky): the operator arrays every stencil kernel takes."""
+        return self._diag_flat_view(), self._d(F.KX), self._d(F.KY)
+
     # ------------------------------------------------------------------ #
     def _k_set_field(self) -> None:
         self._run(cuda_set_field, self._d(F.ENERGY0), self._d(F.ENERGY1))
@@ -322,19 +325,19 @@ class CUDAPort(Port):
     def _k_tea_leaf_residual(self) -> None:
         self._run(
             cuda_residual, self._d(F.R), self._d(F.U0), self._d(F.U),
-            self._d(F.KX), self._d(F.KY),
+            *self._stencil(),
         )
 
     def _k_cg_init(self) -> float:
         return self._run_reduce(
             cuda_cg_init,
             self._d(F.U), self._d(F.U0), self._d(F.W), self._d(F.R), self._d(F.P),
-            self._d(F.KX), self._d(F.KY),
+            *self._stencil(),
         )
 
     def _k_cg_calc_w(self) -> float:
         return self._run_reduce(
-            cuda_cg_calc_w, self._d(F.P), self._d(F.W), self._d(F.KX), self._d(F.KY)
+            cuda_cg_calc_w, self._d(F.P), self._d(F.W), *self._stencil()
         )
 
     def _k_cg_calc_ur(self, alpha: float) -> float:
@@ -353,12 +356,12 @@ class CUDAPort(Port):
         self._run(
             cuda_cheby_init, theta,
             self._d(F.U), self._d(F.U0), self._d(F.R), self._d(F.SD),
-            self._d(F.KX), self._d(F.KY),
+            *self._stencil(),
         )
         self._run(cuda_add, self._d(F.U), self._d(F.SD))
 
     def _k_cheby_iterate(self, alpha: float, beta: float) -> None:
-        self._run(cuda_cheby_calc_r, self._d(F.R), self._d(F.SD), self._d(F.KX), self._d(F.KY))
+        self._run(cuda_cheby_calc_r, self._d(F.R), self._d(F.SD), *self._stencil())
         self._run(cuda_cheby_calc_sd_u, alpha, beta, self._d(F.SD), self._d(F.R), self._d(F.U))
 
     def _k_ppcg_precon_init(self, theta: float) -> None:
@@ -368,16 +371,16 @@ class CUDAPort(Port):
         )
 
     def _k_ppcg_precon_inner(self, alpha: float, beta: float) -> None:
-        self._run(cuda_cheby_calc_r, self._d(F.W), self._d(F.SD), self._d(F.KX), self._d(F.KY))
+        self._run(cuda_cheby_calc_r, self._d(F.W), self._d(F.SD), *self._stencil())
         self._run(cuda_cheby_calc_sd_u, alpha, beta, self._d(F.SD), self._d(F.W), self._d(F.Z))
 
     def _k_cg_precon_jacobi(self) -> None:
-        self._run(cuda_cg_precon, self._d(F.Z), self._d(F.R), self._d(F.KX), self._d(F.KY))
+        self._run(cuda_cg_precon, self._d(F.Z), self._d(F.R), self._diag_flat_view())
 
     def _k_jacobi_iterate(self) -> float:
         return self._run_reduce(
             cuda_jacobi,
-            self._d(F.U), self._d(F.R), self._d(F.U0), self._d(F.KX), self._d(F.KY),
+            self._d(F.U), self._d(F.R), self._d(F.U0), *self._stencil(),
         )
 
     def _k_norm2_field(self, name: str) -> float:

@@ -53,7 +53,7 @@ from repro.models.kokkos.parallel import (
     parallel_for,
     parallel_reduce,
 )
-from repro.models.stencil import flat_diag, flat_matvec, row_diag, row_matvec
+from repro.models.stencil import flat_matvec, row_matvec
 from repro.models.tracing import Trace
 from repro.util.errors import ModelError
 
@@ -159,26 +159,30 @@ class TeaLeafInitFunctor(_Functor):
 
 
 class _MatVecMixin:
-    """A v at flat interior indices i, with layout-derived offsets."""
+    """A v at flat interior indices i, with layout-derived offsets.
 
-    @staticmethod
-    def matvec(i: np.ndarray, v, kx, ky, e: int, n: int) -> np.ndarray:
-        return flat_matvec(i, v, kx, ky, e, n)
+    Stencil functors capture the port's cached diag(A) as a flat array in
+    the views' layout order, next to the kx/ky views.
+    """
+
+    def matvec(self, i: np.ndarray, v) -> np.ndarray:
+        geo = self.geo
+        return flat_matvec(i, v, self.diag, self.kx, self.ky, geo.east, geo.north)
 
 
 class CGInitFunctor(_Functor, _MatVecMixin):
     """w = A u; r = u0 - w; p = r; contributes rro = r.r."""
 
-    def __init__(self, geo, u, u0, w, r, p, kx, ky) -> None:
+    def __init__(self, geo, u, u0, w, r, p, diag, kx, ky) -> None:
         super().__init__(geo)
         self.u, self.u0 = u.flat, u0.flat
         self.w, self.r, self.p = w.flat, r.flat, p.flat
-        self.kx, self.ky = kx.flat, ky.flat
+        self.diag, self.kx, self.ky = diag, kx.flat, ky.flat
 
     def __call__(self, idx: np.ndarray) -> np.ndarray:
         inside = self.geo.interior_mask(idx)
         i = idx[inside]
-        self.w[i] = self.matvec(i, self.u, self.kx, self.ky, self.geo.east, self.geo.north)
+        self.w[i] = self.matvec(i, self.u)
         self.r[i] = self.u0[i] - self.w[i]
         self.p[i] = self.r[i]
         contrib = np.zeros(idx.size)
@@ -189,15 +193,15 @@ class CGInitFunctor(_Functor, _MatVecMixin):
 class CGCalcWFunctor(_Functor, _MatVecMixin):
     """w = A p; contributes pw = p.w."""
 
-    def __init__(self, geo, p, w, kx, ky) -> None:
+    def __init__(self, geo, p, w, diag, kx, ky) -> None:
         super().__init__(geo)
         self.p, self.w = p.flat, w.flat
-        self.kx, self.ky = kx.flat, ky.flat
+        self.diag, self.kx, self.ky = diag, kx.flat, ky.flat
 
     def __call__(self, idx: np.ndarray) -> np.ndarray:
         inside = self.geo.interior_mask(idx)
         i = idx[inside]
-        self.w[i] = self.matvec(i, self.p, self.kx, self.ky, self.geo.east, self.geo.north)
+        self.w[i] = self.matvec(i, self.p)
         contrib = np.zeros(idx.size)
         contrib[inside] = self.p[i] * self.w[i]
         return contrib
@@ -237,15 +241,15 @@ class AxpyFunctor(_Functor):
 class ChebyInitFunctor(_Functor, _MatVecMixin):
     """r = u0 - A u; sd = r/theta; u += sd."""
 
-    def __init__(self, geo, u, u0, r, sd, kx, ky, theta) -> None:
+    def __init__(self, geo, u, u0, r, sd, diag, kx, ky, theta) -> None:
         super().__init__(geo)
         self.u, self.u0, self.r, self.sd = u.flat, u0.flat, r.flat, sd.flat
-        self.kx, self.ky = kx.flat, ky.flat
+        self.diag, self.kx, self.ky = diag, kx.flat, ky.flat
         self.theta = theta
 
     def __call__(self, idx: np.ndarray) -> None:
         i = idx[self.geo.interior_mask(idx)]
-        au = self.matvec(i, self.u, self.kx, self.ky, self.geo.east, self.geo.north)
+        au = self.matvec(i, self.u)
         self.r[i] = self.u0[i] - au
         self.sd[i] = self.r[i] / self.theta
         self.u[i] += self.sd[i]
@@ -254,14 +258,14 @@ class ChebyInitFunctor(_Functor, _MatVecMixin):
 class ChebyIterateRFunctor(_Functor, _MatVecMixin):
     """Sweep 1: r -= A sd."""
 
-    def __init__(self, geo, r, sd, kx, ky) -> None:
+    def __init__(self, geo, r, sd, diag, kx, ky) -> None:
         super().__init__(geo)
         self.r, self.sd = r.flat, sd.flat
-        self.kx, self.ky = kx.flat, ky.flat
+        self.diag, self.kx, self.ky = diag, kx.flat, ky.flat
 
     def __call__(self, idx: np.ndarray) -> None:
         i = idx[self.geo.interior_mask(idx)]
-        self.r[i] -= self.matvec(i, self.sd, self.kx, self.ky, self.geo.east, self.geo.north)
+        self.r[i] -= self.matvec(i, self.sd)
 
 
 class ChebyIterateSDFunctor(_Functor):
@@ -296,51 +300,49 @@ class PPCGPreconInitFunctor(_Functor):
 class ResidualFunctor(_Functor, _MatVecMixin):
     """r = u0 - A u."""
 
-    def __init__(self, geo, r, u0, u, kx, ky) -> None:
+    def __init__(self, geo, r, u0, u, diag, kx, ky) -> None:
         super().__init__(geo)
         self.r, self.u0, self.u = r.flat, u0.flat, u.flat
-        self.kx, self.ky = kx.flat, ky.flat
+        self.diag, self.kx, self.ky = diag, kx.flat, ky.flat
 
     def __call__(self, idx: np.ndarray) -> None:
         i = idx[self.geo.interior_mask(idx)]
-        self.r[i] = self.u0[i] - self.matvec(i, self.u, self.kx, self.ky, self.geo.east, self.geo.north)
+        self.r[i] = self.u0[i] - self.matvec(i, self.u)
 
 
 class CGPreconFunctor(_Functor):
     """z = r / diag(A) (the jac_diag preconditioner)."""
 
-    def __init__(self, geo, z, r, kx, ky) -> None:
+    def __init__(self, geo, z, r, diag) -> None:
         super().__init__(geo)
         self.z, self.r = z.flat, r.flat
-        self.kx, self.ky = kx.flat, ky.flat
+        self.diag = diag
 
     def __call__(self, idx: np.ndarray) -> None:
-        geo = self.geo
-        i = idx[geo.interior_mask(idx)]
-        self.z[i] = self.r[i] / flat_diag(i, self.kx, self.ky, geo.east, geo.north)
+        i = idx[self.geo.interior_mask(idx)]
+        self.z[i] = self.r[i] / self.diag[i]
 
 
 class JacobiFunctor(_Functor):
     """u from the previous iterate un; contributes sum |u - un|."""
 
-    def __init__(self, geo, u, un, u0, kx, ky) -> None:
+    def __init__(self, geo, u, un, u0, diag, kx, ky) -> None:
         super().__init__(geo)
         self.u, self.un, self.u0 = u.flat, un.flat, u0.flat
-        self.kx, self.ky = kx.flat, ky.flat
+        self.diag, self.kx, self.ky = diag, kx.flat, ky.flat
 
     def __call__(self, idx: np.ndarray) -> np.ndarray:
         geo = self.geo
         inside = geo.interior_mask(idx)
         i = idx[inside]
         e, n = geo.east, geo.north
-        diag = flat_diag(i, self.kx, self.ky, e, n)
         self.u[i] = (
             self.u0[i]
             + self.kx[i + e] * self.un[i + e]
             + self.kx[i] * self.un[i - e]
             + self.ky[i + n] * self.un[i + n]
             + self.ky[i] * self.un[i - n]
-        ) / diag
+        ) / self.diag[i]
         contrib = np.zeros(idx.size)
         contrib[inside] = np.abs(self.u[i] - self.un[i])
         return contrib
@@ -447,6 +449,7 @@ class KokkosPort(Port):
         mirror = create_mirror_view(self.views[name])
         mirror.data[...] = values
         deep_copy(self.views[name], mirror, self.trace)
+        self._mark_dirty((name,))
 
     def _device_array(self, name: str) -> np.ndarray:
         return self.views[name].data
@@ -465,6 +468,10 @@ class KokkosPort(Port):
             self.grid.shape, order=self.field_memory_order()
         )
         self.invalidate_residency((name,))
+
+    def _stencil(self) -> tuple:
+        """(diag, kx, ky): the flat cached diag(A) and the coefficient views."""
+        return self._diag_flat_view(), self.views[F.KX], self.views[F.KY]
 
     # ------------------------------------------------------------------ #
     def _k_set_field(self) -> None:
@@ -488,7 +495,7 @@ class KokkosPort(Port):
         v = self.views
         parallel_for(
             self._policy,
-            ResidualFunctor(self.geo, v[F.R], v[F.U0], v[F.U], v[F.KX], v[F.KY]),
+            ResidualFunctor(self.geo, v[F.R], v[F.U0], v[F.U], *self._stencil()),
         )
 
     def _k_cg_init(self) -> float:
@@ -496,7 +503,7 @@ class KokkosPort(Port):
         return parallel_reduce(
             self._policy,
             CGInitFunctor(
-                self.geo, v[F.U], v[F.U0], v[F.W], v[F.R], v[F.P], v[F.KX], v[F.KY]
+                self.geo, v[F.U], v[F.U0], v[F.W], v[F.R], v[F.P], *self._stencil()
             ),
             reducer=self._sum,
         )
@@ -505,7 +512,7 @@ class KokkosPort(Port):
         v = self.views
         return parallel_reduce(
             self._policy,
-            CGCalcWFunctor(self.geo, v[F.P], v[F.W], v[F.KX], v[F.KY]),
+            CGCalcWFunctor(self.geo, v[F.P], v[F.W], *self._stencil()),
             reducer=self._sum,
         )
 
@@ -530,7 +537,7 @@ class KokkosPort(Port):
         parallel_for(
             self._policy,
             ChebyInitFunctor(
-                self.geo, v[F.U], v[F.U0], v[F.R], v[F.SD], v[F.KX], v[F.KY], theta
+                self.geo, v[F.U], v[F.U0], v[F.R], v[F.SD], *self._stencil(), theta
             ),
         )
 
@@ -538,7 +545,7 @@ class KokkosPort(Port):
         v = self.views
         parallel_for(
             self._policy,
-            ChebyIterateRFunctor(self.geo, v[F.R], v[F.SD], v[F.KX], v[F.KY]),
+            ChebyIterateRFunctor(self.geo, v[F.R], v[F.SD], *self._stencil()),
         )
         parallel_for(
             self._policy,
@@ -556,7 +563,7 @@ class KokkosPort(Port):
         v = self.views
         parallel_for(
             self._policy,
-            ChebyIterateRFunctor(self.geo, v[F.W], v[F.SD], v[F.KX], v[F.KY]),
+            ChebyIterateRFunctor(self.geo, v[F.W], v[F.SD], *self._stencil()),
         )
         parallel_for(
             self._policy,
@@ -567,14 +574,14 @@ class KokkosPort(Port):
         v = self.views
         parallel_for(
             self._policy,
-            CGPreconFunctor(self.geo, v[F.Z], v[F.R], v[F.KX], v[F.KY]),
+            CGPreconFunctor(self.geo, v[F.Z], v[F.R], self._diag_flat_view()),
         )
 
     def _k_jacobi_iterate(self) -> float:
         v = self.views
         return parallel_reduce(
             self._policy,
-            JacobiFunctor(self.geo, v[F.U], v[F.R], v[F.U0], v[F.KX], v[F.KY]),
+            JacobiFunctor(self.geo, v[F.U], v[F.R], v[F.U0], *self._stencil()),
             reducer=self._sum,
         )
 
@@ -635,13 +642,15 @@ class KokkosHPPort(KokkosPort):
     def _cols(self, dj: int = 0) -> slice:
         return slice(self.h + dj, self.h + self.grid.nx + dj)
 
-    def _team_matvec(self, member: TeamMember, v: View) -> np.ndarray:
+    def _team_matvec(
+        self, member: TeamMember, v: View, diag: np.ndarray
+    ) -> np.ndarray:
         kx, ky = self.views[F.KX].data, self.views[F.KY].data
         d = v.data
         I, Ip = self._row(member), self._row(member, 1)
         Im = self._row(member, -1)
         J, Jp, Jm = self._cols(), self._cols(1), self._cols(-1)
-        return row_matvec(d, kx, ky, I, Im, Ip, J, Jm, Jp)
+        return row_matvec(d, diag, kx, ky, I, Im, Ip, J, Jm, Jp)
 
     # overridden performance-critical kernels ------------------------------
     def _k_tea_leaf_init(self, dt: float, coefficient: str) -> None:
@@ -673,21 +682,22 @@ class KokkosHPPort(KokkosPort):
         v[F.KY].data[h, :] = 0.0
 
     def _k_tea_leaf_residual(self) -> None:
-        v = self.views
+        v, diag = self.views, self._diag()
 
         def team_body(member: TeamMember) -> None:
             I, J = self._row(member), self._cols()
-            v[F.R].data[I, J] = v[F.U0].data[I, J] - self._team_matvec(member, v[F.U])
+            au = self._team_matvec(member, v[F.U], diag)
+            v[F.R].data[I, J] = v[F.U0].data[I, J] - au
 
         parallel_for(self._team_policy, team_body)
 
     def _k_cg_init(self) -> float:
-        v = self.views
+        v, diag = self.views, self._diag()
 
         def team_body(member: TeamMember) -> np.ndarray:
             I, J = self._row(member), self._cols()
             w, r, p = v[F.W].data, v[F.R].data, v[F.P].data
-            w[I, J] = self._team_matvec(member, v[F.U])
+            w[I, J] = self._team_matvec(member, v[F.U], diag)
             r[I, J] = v[F.U0].data[I, J] - w[I, J]
             p[I, J] = r[I, J]
             return r[I, J] * r[I, J]
@@ -695,11 +705,11 @@ class KokkosHPPort(KokkosPort):
         return parallel_reduce(self._team_policy, team_body, reducer=Sum())
 
     def _k_cg_calc_w(self) -> float:
-        v = self.views
+        v, diag = self.views, self._diag()
 
         def team_body(member: TeamMember) -> np.ndarray:
             I, J = self._row(member), self._cols()
-            v[F.W].data[I, J] = self._team_matvec(member, v[F.P])
+            v[F.W].data[I, J] = self._team_matvec(member, v[F.P], diag)
             return v[F.P].data[I, J] * v[F.W].data[I, J]
 
         return parallel_reduce(self._team_policy, team_body, reducer=Sum())
@@ -732,12 +742,12 @@ class KokkosHPPort(KokkosPort):
         parallel_for(self._team_policy, team_body)
 
     def _k_cheby_init(self, theta: float) -> None:
-        v = self.views
+        v, diag = self.views, self._diag()
 
         def team_body(member: TeamMember) -> None:
             I, J = self._row(member), self._cols()
             r, sd, u = v[F.R].data, v[F.SD].data, v[F.U].data
-            r[I, J] = v[F.U0].data[I, J] - self._team_matvec(member, v[F.U])
+            r[I, J] = v[F.U0].data[I, J] - self._team_matvec(member, v[F.U], diag)
             sd[I, J] = r[I, J] / theta
 
         parallel_for(self._team_policy, team_body)
@@ -757,11 +767,11 @@ class KokkosHPPort(KokkosPort):
     def _hp_cheby_sweeps(
         self, resid: str, accum: str, alpha: float, beta: float
     ) -> None:
-        v = self.views
+        v, diag = self.views, self._diag()
 
         def sweep_r(member: TeamMember) -> None:
             I, J = self._row(member), self._cols()
-            v[resid].data[I, J] -= self._team_matvec(member, v[F.SD])
+            v[resid].data[I, J] -= self._team_matvec(member, v[F.SD], diag)
 
         parallel_for(self._team_policy, sweep_r)
 
@@ -786,13 +796,11 @@ class KokkosHPPort(KokkosPort):
         parallel_for(self._team_policy, team_body)
 
     def _k_cg_precon_jacobi(self) -> None:
-        v = self.views
+        v, diag = self.views, self._diag()
 
         def team_body(member: TeamMember) -> None:
-            I, Ip = self._row(member), self._row(member, 1)
-            J, Jp = self._cols(), self._cols(1)
-            kx, ky = v[F.KX].data, v[F.KY].data
-            v[F.Z].data[I, J] = v[F.R].data[I, J] / row_diag(kx, ky, I, Ip, J, Jp)
+            I, J = self._row(member), self._cols()
+            v[F.Z].data[I, J] = v[F.R].data[I, J] / diag[I, J]
 
         parallel_for(self._team_policy, team_body)
 

@@ -13,7 +13,8 @@ Kokkos, RAJA, OpenCL and CUDA do **not** use these bodies — their ports
 re-express the kernels through their own abstractions, as the paper's did.
 
 All bodies take raw arrays plus the halo depth ``h`` and interior width
-``nx``; none of them reads or writes outside rows ``[h+r0-1, h+r1+1)``,
+``nx`` (stencil bodies also take the port's cached diag(A) array); none
+of them reads or writes outside rows ``[h+r0-1, h+r1+1)``,
 which is what makes the static row decomposition race-free.  Update kernels
 that read neighbour values of an array they also write are split into two
 sweeps (matvec sweep, then axpy sweep), mirroring the reference kernels.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.stencil import face_coefficient, row_diag, row_matvec
+from repro.models.stencil import face_coefficient, row_matvec
 
 
 def _rows(h: int, r0: int, r1: int, dk: int = 0) -> slice:
@@ -37,6 +38,7 @@ def _cols(h: int, nx: int, dj: int = 0) -> slice:
 def matvec_slab(
     out: np.ndarray,
     v: np.ndarray,
+    diag: np.ndarray,
     kx: np.ndarray,
     ky: np.ndarray,
     h: int,
@@ -51,7 +53,7 @@ def matvec_slab(
     Jm = _cols(h, nx, -1)
     Ip = _rows(h, r0, r1, 1)
     Im = _rows(h, r0, r1, -1)
-    out[I, J] = row_matvec(v, kx, ky, I, Im, Ip, J, Jm, Jp)
+    out[I, J] = row_matvec(v, diag, kx, ky, I, Im, Ip, J, Jm, Jp)
 
 
 def tea_leaf_init_slab(
@@ -104,6 +106,7 @@ def residual_slab(
     r: np.ndarray,
     u0: np.ndarray,
     u: np.ndarray,
+    diag: np.ndarray,
     kx: np.ndarray,
     ky: np.ndarray,
     h: int,
@@ -112,7 +115,7 @@ def residual_slab(
     r1: int,
 ) -> None:
     """r = u0 - A u."""
-    matvec_slab(r, u, kx, ky, h, nx, r0, r1)
+    matvec_slab(r, u, diag, kx, ky, h, nx, r0, r1)
     I = _rows(h, r0, r1)
     J = _cols(h, nx)
     r[I, J] = u0[I, J] - r[I, J]
@@ -124,6 +127,7 @@ def cg_init_slab(
     p: np.ndarray,
     u: np.ndarray,
     u0: np.ndarray,
+    diag: np.ndarray,
     kx: np.ndarray,
     ky: np.ndarray,
     h: int,
@@ -132,7 +136,7 @@ def cg_init_slab(
     r1: int,
 ) -> np.ndarray:
     """w = A u; r = u0 - w; p = r; returns per-cell rro contributions."""
-    matvec_slab(w, u, kx, ky, h, nx, r0, r1)
+    matvec_slab(w, u, diag, kx, ky, h, nx, r0, r1)
     I = _rows(h, r0, r1)
     J = _cols(h, nx)
     r[I, J] = u0[I, J] - w[I, J]
@@ -144,6 +148,7 @@ def cg_init_slab(
 def cg_calc_w_slab(
     w: np.ndarray,
     p: np.ndarray,
+    diag: np.ndarray,
     kx: np.ndarray,
     ky: np.ndarray,
     h: int,
@@ -152,7 +157,7 @@ def cg_calc_w_slab(
     r1: int,
 ) -> np.ndarray:
     """w = A p; returns per-cell pw = p.w contributions."""
-    matvec_slab(w, p, kx, ky, h, nx, r0, r1)
+    matvec_slab(w, p, diag, kx, ky, h, nx, r0, r1)
     I = _rows(h, r0, r1)
     J = _cols(h, nx)
     return (p[I, J] * w[I, J]).ravel()
@@ -199,6 +204,7 @@ def cheby_init_slab(
     u: np.ndarray,
     u0: np.ndarray,
     w: np.ndarray,
+    diag: np.ndarray,
     kx: np.ndarray,
     ky: np.ndarray,
     theta: float,
@@ -208,7 +214,7 @@ def cheby_init_slab(
     r1: int,
 ) -> None:
     """r = u0 - A u; sd = r/theta (u update happens in the second sweep)."""
-    matvec_slab(w, u, kx, ky, h, nx, r0, r1)
+    matvec_slab(w, u, diag, kx, ky, h, nx, r0, r1)
     I = _rows(h, r0, r1)
     J = _cols(h, nx)
     r[I, J] = u0[I, J] - w[I, J]
@@ -233,6 +239,7 @@ def cheby_iterate_r_slab(
     r: np.ndarray,
     sd: np.ndarray,
     w: np.ndarray,
+    diag: np.ndarray,
     kx: np.ndarray,
     ky: np.ndarray,
     h: int,
@@ -241,7 +248,7 @@ def cheby_iterate_r_slab(
     r1: int,
 ) -> None:
     """First sweep: r -= A sd (sd read-only, so slabs are race-free)."""
-    matvec_slab(w, sd, kx, ky, h, nx, r0, r1)
+    matvec_slab(w, sd, diag, kx, ky, h, nx, r0, r1)
     I = _rows(h, r0, r1)
     J = _cols(h, nx)
     r[I, J] -= w[I, J]
@@ -287,8 +294,7 @@ def ppcg_precon_init_slab(
 def cg_precon_slab(
     z: np.ndarray,
     r: np.ndarray,
-    kx: np.ndarray,
-    ky: np.ndarray,
+    diag: np.ndarray,
     h: int,
     nx: int,
     r0: int,
@@ -297,15 +303,14 @@ def cg_precon_slab(
     """z = r / diag(A), the diagonal-Jacobi preconditioner apply."""
     I = _rows(h, r0, r1)
     J = _cols(h, nx)
-    Jp = _cols(h, nx, 1)
-    Ip = _rows(h, r0, r1, 1)
-    z[I, J] = r[I, J] / row_diag(kx, ky, I, Ip, J, Jp)
+    z[I, J] = r[I, J] / diag[I, J]
 
 
 def jacobi_iterate_slab(
     u: np.ndarray,
     un: np.ndarray,
     u0: np.ndarray,
+    diag: np.ndarray,
     kx: np.ndarray,
     ky: np.ndarray,
     h: int,
@@ -320,14 +325,13 @@ def jacobi_iterate_slab(
     Jm = _cols(h, nx, -1)
     Ip = _rows(h, r0, r1, 1)
     Im = _rows(h, r0, r1, -1)
-    diag = row_diag(kx, ky, I, Ip, J, Jp)
     u[I, J] = (
         u0[I, J]
         + kx[I, Jp] * un[I, Jp]
         + kx[I, J] * un[I, Jm]
         + ky[Ip, J] * un[Ip, J]
         + ky[I, J] * un[Im, J]
-    ) / diag
+    ) / diag[I, J]
     return np.abs(u[I, J] - un[I, J]).ravel()
 
 

@@ -74,6 +74,8 @@ class OpenACCPort(OpenMP3Port):
         )
         region.__enter__()
         self._data_region = region
+        # Kernels now read the mapped copies of kx/ky.
+        self._invalidate_diag()
 
     def end_solve(self) -> None:
         if self._data_region is None:
@@ -83,6 +85,7 @@ class OpenACCPort(OpenMP3Port):
             return
         self._data_region.__exit__(None, None, None)
         self._data_region = None
+        self._invalidate_diag()
 
     def _launch(self, kernel_name: str, cells: int | None = None, spec=None):
         spec = super()._launch(kernel_name, cells, spec)
@@ -99,6 +102,7 @@ class OpenACCPort(OpenMP3Port):
         self._host_fields[name][...] = values
         if self._data_region is not None and self.env.is_mapped(name):
             self.env.update_to(name)
+        self._mark_dirty((name,))
 
     def _device_array(self, name: str) -> np.ndarray:
         if self._data_region is not None and self.env.is_mapped(name):

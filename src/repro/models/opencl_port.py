@@ -31,7 +31,7 @@ from repro.models.opencl.platform import DeviceType, find_device
 from repro.models.opencl.program import Program
 from repro.models.opencl.runtime import Buffer, CommandQueue, Context, MemFlags
 from repro.models.reduction import combine_partials
-from repro.models.stencil import decode_interior, flat_diag, flat_matvec
+from repro.models.stencil import decode_interior, flat_matvec
 from repro.models.tracing import Trace, TransferDirection
 from repro.util.errors import ModelError
 
@@ -44,8 +44,8 @@ def _decode(gid, n, pitch, h, nx):
     return decode_interior(gid, n, pitch, h, nx)
 
 
-def _matvec(i, v, kx, ky, pitch):
-    return flat_matvec(i, v, kx, ky, 1, pitch)
+def _matvec(i, v, diag, kx, ky, pitch):
+    return flat_matvec(i, v, diag, kx, ky, 1, pitch)
 
 
 def k_set_field(gid, n, pitch, h, nx, energy0, energy1):
@@ -67,14 +67,14 @@ def k_tea_leaf_init(gid, n, pitch, h, nx, rx, ry, recip, density, energy, u, u0,
     ky[fy] = ry * (wy + wc) / (2.0 * wy * wc)
 
 
-def k_residual(gid, n, pitch, h, nx, r, u0, u, kx, ky):
+def k_residual(gid, n, pitch, h, nx, r, u0, u, diag, kx, ky):
     _, i, _, _ = _decode(gid, n, pitch, h, nx)
-    r[i] = u0[i] - _matvec(i, u, kx, ky, pitch)
+    r[i] = u0[i] - _matvec(i, u, diag, kx, ky, pitch)
 
 
-def k_cg_init(gid, n, pitch, h, nx, u, u0, w, r, p, kx, ky):
+def k_cg_init(gid, n, pitch, h, nx, u, u0, w, r, p, diag, kx, ky):
     valid, i, _, _ = _decode(gid, n, pitch, h, nx)
-    w[i] = _matvec(i, u, kx, ky, pitch)
+    w[i] = _matvec(i, u, diag, kx, ky, pitch)
     r[i] = u0[i] - w[i]
     p[i] = r[i]
     contrib = np.zeros(gid.size)
@@ -82,9 +82,9 @@ def k_cg_init(gid, n, pitch, h, nx, u, u0, w, r, p, kx, ky):
     return contrib
 
 
-def k_cg_calc_w(gid, n, pitch, h, nx, p, w, kx, ky):
+def k_cg_calc_w(gid, n, pitch, h, nx, p, w, diag, kx, ky):
     valid, i, _, _ = _decode(gid, n, pitch, h, nx)
-    w[i] = _matvec(i, p, kx, ky, pitch)
+    w[i] = _matvec(i, p, diag, kx, ky, pitch)
     contrib = np.zeros(gid.size)
     contrib[valid] = p[i] * w[i]
     return contrib
@@ -105,15 +105,15 @@ def k_axpy(gid, n, pitch, h, nx, scale, dst, src):
     dst[i] = src[i] + scale * dst[i]
 
 
-def k_cheby_init(gid, n, pitch, h, nx, theta, u, u0, r, sd, kx, ky):
+def k_cheby_init(gid, n, pitch, h, nx, theta, u, u0, r, sd, diag, kx, ky):
     _, i, _, _ = _decode(gid, n, pitch, h, nx)
-    r[i] = u0[i] - _matvec(i, u, kx, ky, pitch)
+    r[i] = u0[i] - _matvec(i, u, diag, kx, ky, pitch)
     sd[i] = r[i] / theta
 
 
-def k_cheby_calc_r(gid, n, pitch, h, nx, resid, sd, kx, ky):
+def k_cheby_calc_r(gid, n, pitch, h, nx, resid, sd, diag, kx, ky):
     _, i, _, _ = _decode(gid, n, pitch, h, nx)
-    resid[i] -= _matvec(i, sd, kx, ky, pitch)
+    resid[i] -= _matvec(i, sd, diag, kx, ky, pitch)
 
 
 def k_cheby_calc_sd_u(gid, n, pitch, h, nx, alpha, beta, sd, resid, accum):
@@ -134,21 +134,20 @@ def k_ppcg_precon_init(gid, n, pitch, h, nx, theta, w, sd, z, r):
     z[i] = sd[i]
 
 
-def k_cg_precon(gid, n, pitch, h, nx, z, r, kx, ky):
+def k_cg_precon(gid, n, pitch, h, nx, z, r, diag):
     _, i, _, _ = _decode(gid, n, pitch, h, nx)
-    z[i] = r[i] / flat_diag(i, kx, ky, 1, pitch)
+    z[i] = r[i] / diag[i]
 
 
-def k_jacobi(gid, n, pitch, h, nx, u, un, u0, kx, ky):
+def k_jacobi(gid, n, pitch, h, nx, u, un, u0, diag, kx, ky):
     valid, i, _, _ = _decode(gid, n, pitch, h, nx)
-    diag = flat_diag(i, kx, ky, 1, pitch)
     u[i] = (
         u0[i]
         + kx[i + 1] * un[i + 1]
         + kx[i] * un[i - 1]
         + ky[i + pitch] * un[i + pitch]
         + ky[i] * un[i - pitch]
-    ) / diag
+    ) / diag[i]
     contrib = np.zeros(gid.size)
     contrib[valid] = np.abs(u[i] - un[i])
     return contrib
@@ -374,19 +373,23 @@ class OpenCLPort(Port):
             b[F.KY],
         )
 
+    def _stencil(self) -> tuple:
+        """(diag, kx, ky): the operator arguments every stencil kernel takes."""
+        return self._diag_flat_view(), self.buffers[F.KX], self.buffers[F.KY]
+
     def _k_tea_leaf_residual(self) -> None:
         b = self.buffers
-        self._run("residual", b[F.R], b[F.U0], b[F.U], b[F.KX], b[F.KY])
+        self._run("residual", b[F.R], b[F.U0], b[F.U], *self._stencil())
 
     def _k_cg_init(self) -> float:
         b = self.buffers
         return self._run_reduce(
-            "cg_init", b[F.U], b[F.U0], b[F.W], b[F.R], b[F.P], b[F.KX], b[F.KY]
+            "cg_init", b[F.U], b[F.U0], b[F.W], b[F.R], b[F.P], *self._stencil()
         )
 
     def _k_cg_calc_w(self) -> float:
         b = self.buffers
-        return self._run_reduce("cg_calc_w", b[F.P], b[F.W], b[F.KX], b[F.KY])
+        return self._run_reduce("cg_calc_w", b[F.P], b[F.W], *self._stencil())
 
     def _k_cg_calc_ur(self, alpha: float) -> float:
         b = self.buffers
@@ -400,12 +403,14 @@ class OpenCLPort(Port):
 
     def _k_cheby_init(self, theta: float) -> None:
         b = self.buffers
-        self._run("cheby_init", theta, b[F.U], b[F.U0], b[F.R], b[F.SD], b[F.KX], b[F.KY])
+        self._run(
+            "cheby_init", theta, b[F.U], b[F.U0], b[F.R], b[F.SD], *self._stencil()
+        )
         self._run("add", b[F.U], b[F.SD])
 
     def _k_cheby_iterate(self, alpha: float, beta: float) -> None:
         b = self.buffers
-        self._run("cheby_calc_r", b[F.R], b[F.SD], b[F.KX], b[F.KY])
+        self._run("cheby_calc_r", b[F.R], b[F.SD], *self._stencil())
         self._run("cheby_calc_sd_u", alpha, beta, b[F.SD], b[F.R], b[F.U])
 
     def _k_ppcg_precon_init(self, theta: float) -> None:
@@ -414,16 +419,16 @@ class OpenCLPort(Port):
 
     def _k_ppcg_precon_inner(self, alpha: float, beta: float) -> None:
         b = self.buffers
-        self._run("cheby_calc_r", b[F.W], b[F.SD], b[F.KX], b[F.KY])
+        self._run("cheby_calc_r", b[F.W], b[F.SD], *self._stencil())
         self._run("cheby_calc_sd_u", alpha, beta, b[F.SD], b[F.W], b[F.Z])
 
     def _k_cg_precon_jacobi(self) -> None:
         b = self.buffers
-        self._run("cg_precon", b[F.Z], b[F.R], b[F.KX], b[F.KY])
+        self._run("cg_precon", b[F.Z], b[F.R], self._diag_flat_view())
 
     def _k_jacobi_iterate(self) -> float:
         b = self.buffers
-        return self._run_reduce("jacobi", b[F.U], b[F.R], b[F.U0], b[F.KX], b[F.KY])
+        return self._run_reduce("jacobi", b[F.U], b[F.R], b[F.U0], *self._stencil())
 
     def _k_norm2_field(self, name: str) -> float:
         return self._run_reduce("dot", self.buffers[name], self.buffers[name])

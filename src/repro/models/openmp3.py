@@ -90,6 +90,7 @@ class OpenMP3Port(Port):
 
     def write_field(self, name: str, values: np.ndarray) -> None:
         self.fields[name][...] = values
+        self._mark_dirty((name,))
 
     def _device_array(self, name: str) -> np.ndarray:
         return self.fields[name]
@@ -132,31 +133,31 @@ class OpenMP3Port(Port):
         lb.zero_boundary_coefficients(f[F.KX], f[F.KY], self.h, g.nx, g.ny)
 
     def _k_tea_leaf_residual(self) -> None:
-        f = self.fields
+        f, d = self.fields, self._diag()
         self.omp.parallel_for(
             self.grid.ny,
             lambda r0, r1: lb.residual_slab(
-                f[F.R], f[F.U0], f[F.U], f[F.KX], f[F.KY],
+                f[F.R], f[F.U0], f[F.U], d, f[F.KX], f[F.KY],
                 self.h, self.grid.nx, r0, r1,
             ),
         )
 
     def _k_cg_init(self) -> float:
-        f = self.fields
+        f, d = self.fields, self._diag()
         return self.omp.parallel_reduce(
             self.grid.ny,
             lambda r0, r1: lb.cg_init_slab(
-                f[F.W], f[F.R], f[F.P], f[F.U], f[F.U0], f[F.KX], f[F.KY],
+                f[F.W], f[F.R], f[F.P], f[F.U], f[F.U0], d, f[F.KX], f[F.KY],
                 self.h, self.grid.nx, r0, r1,
             ),
         )
 
     def _k_cg_calc_w(self) -> float:
-        f = self.fields
+        f, d = self.fields, self._diag()
         return self.omp.parallel_reduce(
             self.grid.ny,
             lambda r0, r1: lb.cg_calc_w_slab(
-                f[F.W], f[F.P], f[F.KX], f[F.KY], self.h, self.grid.nx, r0, r1
+                f[F.W], f[F.P], d, f[F.KX], f[F.KY], self.h, self.grid.nx, r0, r1
             ),
         )
 
@@ -179,11 +180,11 @@ class OpenMP3Port(Port):
         )
 
     def _k_cheby_init(self, theta: float) -> None:
-        f = self.fields
+        f, d = self.fields, self._diag()
         self.omp.parallel_for(
             self.grid.ny,
             lambda r0, r1: lb.cheby_init_slab(
-                f[F.R], f[F.SD], f[F.U], f[F.U0], f[F.W], f[F.KX], f[F.KY],
+                f[F.R], f[F.SD], f[F.U], f[F.U0], f[F.W], d, f[F.KX], f[F.KY],
                 theta, self.h, self.grid.nx, r0, r1,
             ),
         )
@@ -195,11 +196,11 @@ class OpenMP3Port(Port):
         )
 
     def _k_cheby_iterate(self, alpha: float, beta: float) -> None:
-        f = self.fields
+        f, d = self.fields, self._diag()
         self.omp.parallel_for(
             self.grid.ny,
             lambda r0, r1: lb.cheby_iterate_r_slab(
-                f[F.R], f[F.SD], f[F.W], f[F.KX], f[F.KY],
+                f[F.R], f[F.SD], f[F.W], d, f[F.KX], f[F.KY],
                 self.h, self.grid.nx, r0, r1,
             ),
         )
@@ -221,10 +222,10 @@ class OpenMP3Port(Port):
 
     def _k_ppcg_precon_inner(self, alpha: float, beta: float) -> None:
         # Sweep 1: w -= A sd (the inner residual update).
-        scratch = self._scratch()
+        scratch, d = self._scratch(), self._diag()
         self.omp.parallel_for(
             self.grid.ny,
-            lambda r0, r1: self._ppcg_inner_r(scratch, r0, r1),
+            lambda r0, r1: self._ppcg_inner_r(scratch, d, r0, r1),
         )
         # Sweep 2: sd = alpha sd + beta w; z += sd.
         self.omp.parallel_for(
@@ -237,9 +238,13 @@ class OpenMP3Port(Port):
             self._scratch_arr = self.grid.allocate()
         return self._scratch_arr
 
-    def _ppcg_inner_r(self, scratch: np.ndarray, r0: int, r1: int) -> None:
+    def _ppcg_inner_r(
+        self, scratch: np.ndarray, diag: np.ndarray, r0: int, r1: int
+    ) -> None:
         f = self.fields
-        lb.matvec_slab(scratch, f[F.SD], f[F.KX], f[F.KY], self.h, self.grid.nx, r0, r1)
+        lb.matvec_slab(
+            scratch, f[F.SD], diag, f[F.KX], f[F.KY], self.h, self.grid.nx, r0, r1
+        )
         I = slice(self.h + r0, self.h + r1)
         J = slice(self.h, self.h + self.grid.nx)
         f[F.W][I, J] -= scratch[I, J]
@@ -261,20 +266,20 @@ class OpenMP3Port(Port):
         )
 
     def _k_cg_precon_jacobi(self) -> None:
-        f = self.fields
+        f, d = self.fields, self._diag()
         self.omp.parallel_for(
             self.grid.ny,
             lambda r0, r1: lb.cg_precon_slab(
-                f[F.Z], f[F.R], f[F.KX], f[F.KY], self.h, self.grid.nx, r0, r1
+                f[F.Z], f[F.R], d, self.h, self.grid.nx, r0, r1
             ),
         )
 
     def _k_jacobi_iterate(self) -> float:
-        f = self.fields
+        f, d = self.fields, self._diag()
         return self.omp.parallel_reduce(
             self.grid.ny,
             lambda r0, r1: lb.jacobi_iterate_slab(
-                f[F.U], f[F.R], f[F.U0], f[F.KX], f[F.KY],
+                f[F.U], f[F.R], f[F.U0], d, f[F.KX], f[F.KY],
                 self.h, self.grid.nx, r0, r1,
             ),
         )

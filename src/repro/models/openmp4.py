@@ -105,6 +105,8 @@ class OpenMP4Port(OpenMP3Port):
         )
         region.__enter__()
         self._data_region = region
+        # Kernels now read the mapped copies of kx/ky.
+        self._invalidate_diag()
 
     def end_solve(self) -> None:
         if self._data_region is None:
@@ -115,6 +117,7 @@ class OpenMP4Port(OpenMP3Port):
             return
         self._data_region.__exit__(None, None, None)
         self._data_region = None
+        self._invalidate_diag()
 
     # ------------------------------------------------------------------ #
     # every kernel launch inside the data region is one target region
@@ -137,6 +140,7 @@ class OpenMP4Port(OpenMP3Port):
         self._host_fields[name][...] = values
         if self._data_region is not None and self.env.is_mapped(name):
             self.env.update_to(name)
+        self._mark_dirty((name,))
 
     def _device_array(self, name: str) -> np.ndarray:
         if self._data_region is not None and self.env.is_mapped(name):

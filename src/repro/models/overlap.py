@@ -186,7 +186,7 @@ class OverlapTemplate:
 def _body_cg_calc_w(ctx: Any, args: tuple, S: RegionSlices) -> None:
     A = ctx.array
     A(F.W)[S.I, S.J] = row_matvec(
-        A(F.P), A(F.KX), A(F.KY), S.I, S.Im, S.Ip, S.J, S.Jm, S.Jp
+        A(F.P), ctx.diag(), A(F.KX), A(F.KY), S.I, S.Im, S.Ip, S.J, S.Jm, S.Jp
     )
 
 
@@ -216,7 +216,7 @@ def _body_tea_leaf_residual(ctx: Any, args: tuple, S: RegionSlices) -> None:
 def _body_cheby_iterate(ctx: Any, args: tuple, S: RegionSlices) -> None:
     A = ctx.array
     A(F.R)[S.I, S.J] -= row_matvec(
-        A(F.SD), A(F.KX), A(F.KY), S.I, S.Im, S.Ip, S.J, S.Jm, S.Jp
+        A(F.SD), ctx.diag(), A(F.KX), A(F.KY), S.I, S.Im, S.Ip, S.J, S.Jm, S.Jp
     )
 
 
@@ -232,7 +232,7 @@ def _epi_cheby_iterate(ctx: Any, args: tuple) -> None:
 def _body_ppcg_precon_inner(ctx: Any, args: tuple, S: RegionSlices) -> None:
     A = ctx.array
     A(F.W)[S.I, S.J] -= row_matvec(
-        A(F.SD), A(F.KX), A(F.KY), S.I, S.Im, S.Ip, S.J, S.Jm, S.Jp
+        A(F.SD), ctx.diag(), A(F.KX), A(F.KY), S.I, S.Im, S.Ip, S.J, S.Jm, S.Jp
     )
 
 

@@ -540,9 +540,9 @@ def _can_fuse(group: list[KernelCall], cand: KernelCall) -> bool:
 def _guard_for(call: KernelCall) -> GuardStep | None:
     """The detection step the instrumentation pass places after ``call``.
 
-    Mirrors the historical ``GuardedPort`` hook table: which reductions
-    are isfinite-guarded (and under which label), which feed the residual
-    monitor, and which calls complete a solver iteration.
+    Decides which reductions are isfinite-guarded (and under which
+    label), which feed the residual monitor, and which calls complete a
+    solver iteration.
     """
     op = call.op
     if op == "cg_calc_ur":
@@ -1287,7 +1287,7 @@ def executor_for(port: Any) -> PlanExecutor:
     semantics — every call through the public kernel methods, unfused.
 
     The attached executor is only honoured when it drives *this exact
-    object*: a delegating proxy (GuardedPort, lockstep harness) inherits
+    object*: a delegating proxy (the lockstep harness) inherits
     ``plan_executor`` from the port it wraps, and reusing that executor
     would dispatch straight to the inner port, silently bypassing the
     proxy's interception.

@@ -47,7 +47,7 @@ from repro.models.raja.forall import (
 from repro.models.raja.reducers import ReduceSum
 from repro.models.raja.segments import IndexSet, ListSegment, RangeSegment
 from repro.models.reduction import deterministic_multi_sum
-from repro.models.stencil import flat_diag, flat_matvec
+from repro.models.stencil import flat_matvec
 from repro.models.tracing import Trace
 from repro.util.errors import ModelError
 
@@ -139,6 +139,7 @@ class RAJAPort(Port):
 
     def write_field(self, name: str, values: np.ndarray) -> None:
         self.fields[name][...] = values
+        self._mark_dirty((name,))
 
     def _device_array(self, name: str) -> np.ndarray:
         return self.fields[name]
@@ -155,7 +156,7 @@ class RAJAPort(Port):
     # ------------------------------------------------------------------ #
     def _matvec(self, i: np.ndarray, v: np.ndarray) -> np.ndarray:
         kx, ky = self._flat(F.KX), self._flat(F.KY)
-        return flat_matvec(i, v, kx, ky, 1, self._pitch)
+        return flat_matvec(i, v, self._diag_flat_view(), kx, ky, 1, self._pitch)
 
     def _k_set_field(self) -> None:
         e0, e1 = self._flat(F.ENERGY0), self._flat(F.ENERGY1)
@@ -305,30 +306,29 @@ class RAJAPort(Port):
 
     def _k_cg_precon_jacobi(self) -> None:
         z, r = self._flat(F.Z), self._flat(F.R)
-        kx, ky = self._flat(F.KX), self._flat(F.KY)
-        NX = self._pitch
+        diag = self._diag_flat_view()
 
         def body(i: np.ndarray) -> None:
-            z[i] = r[i] / flat_diag(i, kx, ky, 1, NX)
+            z[i] = r[i] / diag[i]
 
         forall(self.policy, self._interior, body)
 
     def _k_jacobi_iterate(self) -> float:
         u, un, u0 = self._flat(F.U), self._flat(F.R), self._flat(F.U0)
         kx, ky = self._flat(F.KX), self._flat(F.KY)
+        diag = self._diag_flat_view()
         NX = self._pitch
         err = ReduceSum(self.policy)
 
         def body(i: np.ndarray) -> None:
             nonlocal err
-            diag = flat_diag(i, kx, ky, 1, NX)
             u[i] = (
                 u0[i]
                 + kx[i + 1] * un[i + 1]
                 + kx[i] * un[i - 1]
                 + ky[i + NX] * un[i + NX]
                 + ky[i] * un[i - NX]
-            ) / diag
+            ) / diag[i]
             err += np.abs(u[i] - un[i])
 
         forall(self.policy, self._interior, body)

@@ -45,19 +45,59 @@ import numpy as np
 CHUNK = 128
 
 
-def _tree_fold(rows: np.ndarray) -> np.ndarray:
-    """Fold each row of ``(m, 2**k)`` by the stride-halving pairwise tree.
+def _tree_fold(work: np.ndarray) -> np.ndarray:
+    """Fold the leading axis of ``(2**k, m)`` ``work`` in place; returns row 0.
 
     This is the shared-memory reduction loop —
-    ``if (tid < stride) sdata[tid] += sdata[tid + stride]`` — applied to
-    every row at once; returns the ``m`` per-row results.
+    ``if (tid < stride) sdata[tid] += sdata[tid + stride]`` — run for all
+    ``m`` columns at once.  Column ``c`` holds one tree's lanes, so every
+    level adds two contiguous row blocks.  Each lane pair is added in the
+    same order as when the tree ran along a row of the ``(m, 2**k)``
+    layout, so the ``m`` results have the same bits.
     """
-    work = np.asarray(rows, dtype=np.float64).copy()
-    stride = work.shape[1] // 2
+    stride = work.shape[0] // 2
     while stride >= 1:
-        work[:, :stride] += work[:, stride : 2 * stride]
+        work[:stride] += work[stride : 2 * stride]
         stride //= 2
-    return work[:, 0].copy()
+    return work[0]
+
+
+def _lane_major(rows: np.ndarray, chunk: int) -> np.ndarray:
+    """Zero-padded ``(chunk, k * m)`` transpose of ``k`` equal-length rows.
+
+    Column ``l * m + c`` holds chunk ``c`` of row ``l``: element
+    ``[t, l * m + c]`` is ``rows[l, c * chunk + t]``, zero past the end.
+    """
+    k, n = rows.shape
+    m = -(-n // chunk)
+    work = np.zeros((chunk, k, m))
+    full = n // chunk
+    if full:
+        work[:, :, :full] = (
+            rows[:, : full * chunk].reshape(k, full, chunk).transpose(2, 0, 1)
+        )
+    if full < m:
+        work[: n - full * chunk, :, full] = rows[:, full * chunk :].T
+    return work.reshape(chunk, k * m)
+
+
+def _row_sums(rows: np.ndarray, chunk: int = CHUNK) -> np.ndarray:
+    """Canonical sum of each row of ``(k, n)`` ``rows`` -> ``(k,)``.
+
+    Both stages fold every row at once: stage 1 over the ``k * m`` chunks,
+    stage 2 over the ``k`` zero-padded partial vectors.
+    """
+    k, n = rows.shape
+    if n == 0:
+        return np.zeros(k)
+    m = -(-n // chunk)
+    partials = _tree_fold(_lane_major(rows, chunk)).reshape(k, m)
+    width = 1
+    while width < m:
+        width <<= 1
+    work = np.zeros((width, k))
+    work[:m] = partials.T
+    return _tree_fold(work)
 
 
 def chunk_partials(values: np.ndarray, chunk: int = CHUNK) -> np.ndarray:
@@ -65,10 +105,7 @@ def chunk_partials(values: np.ndarray, chunk: int = CHUNK) -> np.ndarray:
     flat = np.asarray(values, dtype=np.float64).ravel()
     if flat.size == 0:
         return np.zeros(0)
-    pad = (-flat.size) % chunk
-    if pad:
-        flat = np.concatenate([flat, np.zeros(pad)])
-    return _tree_fold(flat.reshape(-1, chunk))
+    return _tree_fold(_lane_major(flat.reshape(1, -1), chunk)).copy()
 
 
 def combine_partials(partials: np.ndarray) -> float:
@@ -83,14 +120,15 @@ def combine_partials(partials: np.ndarray) -> float:
     width = 1
     while width < flat.size:
         width <<= 1
-    if width > flat.size:
-        flat = np.concatenate([flat, np.zeros(width - flat.size)])
-    return float(_tree_fold(flat.reshape(1, width))[0])
+    work = np.zeros(width)
+    work[: flat.size] = flat
+    return float(_tree_fold(work))
 
 
 def deterministic_sum(values: np.ndarray, chunk: int = CHUNK) -> float:
     """The canonical fixed-shape sum every port's reduction finalises with."""
-    return combine_partials(chunk_partials(values, chunk))
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    return float(_row_sums(flat.reshape(1, -1), chunk)[0])
 
 
 def deterministic_dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -101,5 +139,11 @@ def deterministic_dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def deterministic_multi_sum(arrays: Sequence[np.ndarray]) -> tuple[float, ...]:
-    """Multi-accumulator variant (the field summary's four totals)."""
-    return tuple(deterministic_sum(a) for a in arrays)
+    """Several canonical sums in one fold (the field summary's four totals).
+
+    ``arrays`` holds equal-length vectors, or is one ``(k, n)`` array whose
+    rows are summed; entry ``l`` is bitwise ``deterministic_sum(arrays[l])``.
+    A batched context passes one row per lane.
+    """
+    rows = np.asarray(arrays, dtype=np.float64)
+    return tuple(_row_sums(rows.reshape(len(rows), -1)).tolist())

@@ -11,6 +11,10 @@ layout-polymorphic strides, RAJA from precomputed indirection lists, and
 the OpenMP/OpenACC loop bodies from 2-D row slabs.  The *expressions* were
 copy-pasted between those files; this module is the single home for them.
 
+The diagonal term ``1 + kxE + kxW + kyN + kyS`` depends only on the
+coefficients, so each port computes it once per write of kx/ky with
+:func:`row_diag` and passes the cached array to the matvec helpers.
+
 Bitwise contract: callers pass their own neighbour offsets / slices, and
 each helper keeps exactly one association order, so all ports produce
 bit-for-bit identical values regardless of how they index (the PR 3
@@ -37,39 +41,52 @@ def decode_interior(idx: np.ndarray, n: int, pitch: int, h: int, nx: int):
     return valid, k * pitch + j, j, k
 
 
-def flat_matvec(i: np.ndarray, v, kx, ky, east: int, north: int) -> np.ndarray:
+def flat_matvec(
+    i: np.ndarray, v, diag, kx, ky, east: int, north: int
+) -> np.ndarray:
     """A v at flat interior indices ``i`` with explicit neighbour offsets.
 
     CUDA/OpenCL pass ``east=1, north=pitch`` (row-major flattening), Kokkos
     passes its layout-derived strides, RAJA ``east=1, north=pitch``.
+    ``diag`` is the port's cached diag(A), flat in the same layout.
     """
     return (
-        (1.0 + kx[i + east] + kx[i] + ky[i + north] + ky[i]) * v[i]
+        diag[i] * v[i]
         - (kx[i + east] * v[i + east] + kx[i] * v[i - east])
         - (ky[i + north] * v[i + north] + ky[i] * v[i - north])
     )
 
 
 def flat_diag(i: np.ndarray, kx, ky, east: int, north: int) -> np.ndarray:
-    """diag(A) at flat interior indices ``i`` (Jacobi / jac_diag kernels)."""
+    """diag(A) at flat interior indices ``i``.
+
+    The flat-index form of :func:`row_diag`, with the same association
+    order, for callers that address flat storage.
+    """
     return 1.0 + kx[i + east] + kx[i] + ky[i + north] + ky[i]
 
 
-def row_matvec(v, kx, ky, I, Im, Ip, J, Jm, Jp) -> np.ndarray:
+def row_matvec(v, diag, kx, ky, I, Im, Ip, J, Jm, Jp) -> np.ndarray:
     """A v over a 2-D row slab given centre/shifted row and column slices.
 
     The OpenMP slab bodies pass slices covering rows ``[r0, r1)``; the
-    Kokkos hierarchical port passes a single team row.
+    Kokkos hierarchical port passes a single team row.  ``diag`` is the
+    port's cached diag(A) (:func:`row_diag` over the whole interior).
     """
     return (
-        (1.0 + kx[I, Jp] + kx[I, J] + ky[Ip, J] + ky[I, J]) * v[I, J]
+        diag[I, J] * v[I, J]
         - (kx[I, Jp] * v[I, Jp] + kx[I, J] * v[I, Jm])
         - (ky[Ip, J] * v[Ip, J] + ky[I, J] * v[Im, J])
     )
 
 
 def row_diag(kx, ky, I, Ip, J, Jp) -> np.ndarray:
-    """diag(A) over a 2-D row slab."""
+    """diag(A) = 1 + kxE + kxW + kyN + kyS over a 2-D row slab.
+
+    kx and ky do not change within a solve, so ports evaluate this once
+    per write of either (``Port._diag``) and every matvec, Jacobi sweep
+    and preconditioner apply reads the cached array.
+    """
     return 1.0 + kx[I, Jp] + kx[I, J] + ky[Ip, J] + ky[I, J]
 
 

@@ -111,6 +111,35 @@ class TestErrors:
             )
 
 
+class TestNonFiniteInput:
+    """Non-finite input fails at the deck boundary, never mid-solve."""
+
+    @pytest.mark.parametrize(
+        "old,new,match",
+        [
+            ("energy=25.0", "energy=nan", "state 2: energy must be finite"),
+            ("density=0.1 ", "density=inf ", "state 2: density must be finite"),
+            ("xmax=4.0", "xmax=inf", "state 2: xmax must be finite"),
+            ("initial_timestep=0.004", "initial_timestep=nan", "initial_timestep"),
+            ("xmax=10.0", "xmax=inf", "xmax must be finite"),
+            # 2 wa wb underflows to zero: kx/ky would be inf after init.
+            ("density=0.1 ", "density=1e-300 ", "state 2 .* not finite"),
+        ],
+    )
+    def test_rejected(self, old, new, match):
+        assert old in GOOD_DECK
+        with pytest.raises(DeckError, match=match):
+            parse_deck(GOOD_DECK.replace(old, new, 1))
+
+    def test_recip_conductivity_checks_its_own_coefficients(self):
+        # w = 1/1e-300 = 1e300, so 2 wa wb overflows and the coefficient
+        # is (wa + wb) / inf = 0: finite, so the deck is valid.
+        text = GOOD_DECK.replace("density=0.1 ", "density=1e-300 ", 1).replace(
+            "*endtea", "tl_coefficient=recip_conductivity\n*endtea"
+        )
+        assert parse_deck(text).states[1].density == 1e-300
+
+
 class TestDeckValidation:
     def test_rejects_unknown_solver(self):
         with pytest.raises(DeckError):

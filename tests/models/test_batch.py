@@ -187,6 +187,30 @@ class TestBatchContext:
             assert batched[lane] == expected
         assert CodegenContext.reduce is not BatchContext.reduce
 
+    @pytest.mark.parametrize("lanes", [1, 2, 5])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_multi_lane_reduce_equals_per_lane_sums(self, lanes, order):
+        """One fold over all lanes of a strided product, as generated
+        reductions pass it, gives each lane's own canonical sum."""
+        from repro.models.reduction import deterministic_sum
+
+        deck = dataclasses.replace(default_deck(n=8), x_cells=19, y_cells=13)
+        grid = deck.grid()
+        words = grid.shape[0] * grid.shape[1]
+        arena = FieldArena(words, lanes, deck_liveness(deck))
+        rng = np.random.default_rng(lanes)
+        for name in ("p", "w"):
+            for lane in range(lanes):
+                arena.lane_flat(name, lane)[:] = rng.normal(size=words)
+        ctx = BatchContext(arena, 0, lanes, grid, order)
+        I, J = ctx.I, ctx.J
+        p, w = ctx.array("p")[I, J], ctx.array("w")[I, J]
+        batched = ctx.reduce(p * w)
+        assert len(batched) == lanes
+        for lane in range(lanes):
+            expected = deterministic_sum((p[..., lane] * w[..., lane]).ravel())
+            assert batched[lane] == expected
+
 
 # --------------------------------------------------------------------- #
 # batched == sequential, all ports

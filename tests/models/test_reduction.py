@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.models.reduction import (
     CHUNK,
+    _tree_fold,
     chunk_partials,
     combine_partials,
     deterministic_dot,
@@ -25,6 +26,120 @@ from repro.models.reduction import (
 def random_values(n, seed=0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, size=n)
+
+
+# --------------------------------------------------------------------- #
+# the per-row fold the transposed one replaced, kept as the oracle
+# --------------------------------------------------------------------- #
+def reference_tree_fold(rows):
+    """Fold each row of ``(m, 2**k)`` by the stride-halving tree."""
+    work = np.asarray(rows, dtype=np.float64).copy()
+    stride = work.shape[1] // 2
+    while stride >= 1:
+        work[:, :stride] += work[:, stride : 2 * stride]
+        stride //= 2
+    return work[:, 0].copy()
+
+
+def reference_sum(values, chunk=CHUNK):
+    """Zero-pad to whole chunks, fold each, zero-pad partials, fold."""
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    if flat.size == 0:
+        return 0.0
+    flat = np.concatenate([flat, np.zeros((-flat.size) % chunk)])
+    partials = reference_tree_fold(flat.reshape(-1, chunk))
+    width = 1
+    while width < partials.size:
+        width <<= 1
+    partials = np.concatenate([partials, np.zeros(width - partials.size)])
+    return float(reference_tree_fold(partials.reshape(1, width))[0])
+
+
+def same_bits(a, b) -> bool:
+    """Bitwise equality, except that any NaN matches any NaN.
+
+    NaN payloads are outside the contract: NumPy's contiguous and strided
+    add loops may propagate either operand's payload.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    nan = np.isnan(a)
+    return bool((nan == np.isnan(b)).all()) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def sprinkled(n, seed, specials):
+    """``n`` random values of any exponent, ``specials`` at seeded places."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
+    if n:
+        values[rng.integers(0, n, size=len(specials))] = specials
+    return values
+
+
+#: Finite values of every magnitude, signed zeros and the non-finite ones.
+special_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324]),
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, overflow
+class TestTransposedFoldMatchesPerRowFold:
+    """The contiguous ``(2**k, m)`` fold gives the per-row fold's bits."""
+
+    @given(
+        rows=st.integers(1, 12),
+        log_width=st.integers(0, 7),
+        seed=st.integers(0, 2**32 - 1),
+        specials=st.lists(special_floats, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tree_fold(self, rows, log_width, seed, specials):
+        values = sprinkled(rows << log_width, seed, specials)
+        values = values.reshape(rows, 1 << log_width)
+        got = _tree_fold(values.T.copy())  # folds its argument in place
+        assert same_bits(got, reference_tree_fold(values))
+
+    @given(
+        n=st.integers(0, 3 * CHUNK + 5),
+        seed=st.integers(0, 2**32 - 1),
+        specials=st.lists(special_floats, max_size=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_deterministic_sum(self, n, seed, specials):
+        values = sprinkled(n, seed, specials)
+        assert same_bits(deterministic_sum(values), reference_sum(values))
+        padded = np.concatenate([values, np.zeros((-n) % CHUNK)])
+        assert same_bits(
+            chunk_partials(values), reference_tree_fold(padded.reshape(-1, CHUNK))
+        )
+
+    @given(
+        lanes=st.integers(1, 5),
+        n=st.integers(0, 2 * CHUNK + 3),
+        seed=st.integers(0, 2**32 - 1),
+        specials=st.lists(special_floats, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_multi_sum_rows(self, lanes, n, seed, specials):
+        values = sprinkled(lanes * n, seed, specials).reshape(lanes, n)
+        got = deterministic_multi_sum(values)
+        assert len(got) == lanes
+        for lane in range(lanes):
+            assert same_bits(got[lane], reference_sum(values[lane]))
+
+    @pytest.mark.parametrize(
+        "n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 7 * CHUNK + 100, 64 * CHUNK]
+    )
+    def test_tails_and_many_chunks(self, n):
+        values = random_values(n, seed=n)
+        assert same_bits(deterministic_sum(values), reference_sum(values))
+
+    def test_signed_zero(self):
+        # -0.0 + -0.0 stays -0.0; the +0.0 tail padding turns it to +0.0.
+        for n in (1, CHUNK):
+            values = np.full(n, -0.0)
+            assert same_bits(deterministic_sum(values), reference_sum(values))
 
 
 class TestDeterministicSum:
