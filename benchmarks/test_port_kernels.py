@@ -13,6 +13,7 @@ from repro.core.deck import default_deck
 from repro.core.driver import TeaLeaf
 from repro.core.state import generate_chunk
 from repro.models.base import available_models, make_port
+from repro.models.plan import KernelCall
 
 MODELS = available_models()
 
@@ -23,10 +24,12 @@ def prepared_port(model: str, n: int = 96):
     density, energy = generate_chunk(list(deck.states), grid)
     port = make_port(model, grid)
     port.set_state(density, energy)
-    port.set_field()
+    port.dispatch(KernelCall("set_field"))
     port.begin_solve()
-    port.tea_leaf_init(deck.initial_timestep, deck.tl_coefficient)
-    port.cg_init()
+    port.dispatch(
+        KernelCall("tea_leaf_init", (deck.initial_timestep, deck.tl_coefficient))
+    )
+    port.dispatch(KernelCall("cg_init"))
     return port
 
 
@@ -34,7 +37,7 @@ def prepared_port(model: str, n: int = 96):
 def test_cg_matvec_kernel(benchmark, model):
     """w = A p + reduce: the bandwidth-critical kernel of every port."""
     port = prepared_port(model)
-    pw = benchmark(port.cg_calc_w)
+    pw = benchmark(port.dispatch, KernelCall("cg_calc_w"))
     assert pw > 0.0
 
 
@@ -44,8 +47,9 @@ def test_cheby_iterate_kernel(benchmark, model):
     fixed (alpha, beta) are numerically divergent by design, so correctness
     is asserted in the test-suite, not here."""
     port = prepared_port(model)
-    port.cheby_init(theta=2.0)
-    benchmark.pedantic(port.cheby_iterate, args=(0.1, 0.2), rounds=10, iterations=1)
+    port.dispatch(KernelCall("cheby_init", (2.0,)))
+    sweep = KernelCall("cheby_iterate", (0.1, 0.2))
+    benchmark.pedantic(port.dispatch, args=(sweep,), rounds=10, iterations=1)
     assert port.trace.kernel_launches() > 0
 
 

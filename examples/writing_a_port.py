@@ -132,24 +132,34 @@ def with_openmp4() -> np.ndarray:
 
 
 def with_kernel_plan() -> None:
-    """The port-authoring surface after the kernel-plan refactor.
+    """The port-authoring surface: ``_k_<op>`` primitives behind one dispatch.
 
-    A TeaLeaf port no longer re-implements the ~20-kernel call sequence:
+    A TeaLeaf port does not re-implement the ~20-kernel call sequence:
     it supplies ``_k_<op>`` primitive bodies (plus a residency adapter
     for offload models) and inherits dispatch, tracing, fusion, and
-    residency tracking from ``Port``.  Solvers hand declarative
-    :class:`Plan` objects to a :class:`PlanExecutor`, which is also the
-    one place cross-model optimisation happens: below, the PCG tail's
-    precondition + dot pair runs as two launches unfused and as a single
-    fused traversal — with bitwise-identical scalars.
+    residency tracking from ``Port``.  Every kernel operation is one
+    ``port.dispatch(KernelCall(op, args))``; solvers hand declarative
+    :class:`Plan` objects to a :class:`PlanExecutor`, which issues those
+    calls and is also the one place cross-model optimisation happens:
+    below, the PCG tail's precondition + dot pair runs as two launches
+    unfused and as a single fused traversal — with bitwise-identical
+    scalars.
     """
     from repro.core import fields as F
     from repro.core.deck import default_deck
     from repro.models.base import make_port
-    from repro.models.plan import KernelCall, Plan, PlanExecutor
+    from repro.models.plan import BarrierStep, KernelCall, Plan, PlanExecutor
     from repro.models.tracing import Trace
 
     deck = default_deck(n=16, solver="cg", end_step=1)
+    setup = Plan(
+        "setup",
+        (
+            KernelCall("set_field"),
+            BarrierStep("begin_solve"),
+            KernelCall("tea_leaf_init", (deck.initial_timestep, deck.tl_coefficient)),
+        ),
+    )
     plan = Plan(
         "pcg_tail_fragment",
         (
@@ -167,17 +177,15 @@ def with_kernel_plan() -> None:
             lambda j, i: 1.0 + 0.1 * (i + 2 * j), grid.shape
         )
         port.set_state(density, energy)
-        port.set_field()
-        port.begin_solve()
-        port.tea_leaf_init(deck.initial_timestep, deck.tl_coefficient)
-        port.cg_init()
+        PlanExecutor(port).run(setup)
+        rro = port.dispatch(KernelCall("cg_init"))  # one op, outside a plan
         launches_before = trace.kernel_launches()
         env = PlanExecutor(port, fuse=fuse).run(plan)
         scalars[fuse] = env["rrz"]
         print(
             f"  fuse={'on ' if fuse else 'off'}: "
             f"{trace.kernel_launches() - launches_before} launches, "
-            f"rrz={env['rrz']:.17e}"
+            f"rro={rro:.6e}, rrz={env['rrz']:.17e}"
         )
     assert scalars[False] == scalars[True]  # bitwise, not approximately
     print(plan.describe(fuse=True))

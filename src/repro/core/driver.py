@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING
 
 from repro.core.solvers import Solver, SolveResult, make_solver
 from repro.core.state import generate_chunk
+from repro.models.plan import FIELD_SUMMARY
 from repro.util.errors import CorruptionError, RankFailureError
-from repro.util.timing import TimerRegistry
 
 if TYPE_CHECKING:  # avoid a core <-> models import cycle
     from repro.models.arena import FieldArena
@@ -159,7 +159,6 @@ class TeaLeaf:
         self.model = model if port is None else port.model_name
         self.port = port if port is not None else make_port(model, self.grid, self.trace)
         self.solver: Solver = make_solver(deck.solver)
-        self.timers = TimerRegistry()
         self.step_count = 0
         self.sim_time = 0.0
         #: Directory for visit_frequency VTK dumps (default: cwd).
@@ -298,9 +297,9 @@ class TeaLeaf:
         )
         while True:
             try:
-                with self.timers["solve"], self.trace.section(
-                    "solve"
-                ), self.trace.section(self.deck.solver):
+                with self.trace.section("solve"), self.trace.section(
+                    self.deck.solver
+                ):
                     self.executor.run(
                         self._prologue,
                         {"dt": dt, "coefficient": self.deck.tl_coefficient},
@@ -322,8 +321,8 @@ class TeaLeaf:
                         manager.retry_backoff(retries)
                         continue
                 if want_summary:
-                    with self.timers["summary"], self.trace.section("summary"):
-                        summary = FieldSummary(*self.port.field_summary())
+                    with self.trace.section("summary"):
+                        summary = FieldSummary(*self.port.dispatch(FIELD_SUMMARY))
                 break
             except RankFailureError as exc:
                 # A rank died outside the solver's own recovery window

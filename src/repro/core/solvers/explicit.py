@@ -23,12 +23,18 @@ from typing import TYPE_CHECKING
 from repro.core import fields as F
 from repro.core.deck import Deck
 from repro.core.solvers.base import Solver, SolveResult
+from repro.models.plan import KernelCall
 
 if TYPE_CHECKING:  # avoid a core <-> models import cycle
     from repro.models.base import Port
 
 #: Fraction of the stability limit to run at (the classic safety margin).
 STABILITY_SAFETY = 0.9
+
+#: The right-hand side of each sub-step is the current u.
+_STAGE_RHS = KernelCall("copy_field", (F.U, F.U0))
+#: u += (u0 - A u): one explicit Euler sub-step.
+_EULER_SWEEP = KernelCall("cheby_init", (1.0,))
 
 
 def stability_sum(port: "Port") -> float:
@@ -72,11 +78,13 @@ class ExplicitSolver(Solver):
             )
 
         # Rebuild coefficients for the stable sub-step.
-        port.tea_leaf_init(dt / substeps, deck.tl_coefficient)
+        port.dispatch(
+            KernelCall("tea_leaf_init", (dt / substeps, deck.tl_coefficient))
+        )
         for _ in range(substeps):
-            port.copy_field(F.U, F.U0)  # RHS of this sub-step is current u
+            port.dispatch(_STAGE_RHS)
             port.update_halo((F.U,), depth=1)
-            port.cheby_init(theta=1.0)  # u += (u0 - A u) == explicit Euler
+            port.dispatch(_EULER_SWEEP)
 
         return SolveResult(
             solver=self.name,

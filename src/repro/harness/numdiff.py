@@ -25,6 +25,7 @@ import numpy as np
 from repro.core import fields as F
 from repro.core.grid import Grid2D
 from repro.models.base import Port, make_port
+from repro.models.plan import KernelCall
 from repro.models.tracing import Trace
 
 #: Kernels that advance the solver by one iteration; their call count is
@@ -151,10 +152,12 @@ class LockstepPort(Port):
     """
 
     model_name = "lockstep"
-    #: The facade exists to observe every public kernel call; overlap
-    #: execution writes device arrays directly and would bypass the
-    #: per-call comparison, so it is refused (the executor records the
-    #: fallback instead of silently degrading the lockstep contract).
+    #: The facade exists to observe every dispatched call; generated
+    #: kernels and overlap execution write device arrays directly and
+    #: would bypass the per-call comparison (and run on the reference
+    #: port alone), so both are refused — the executor records the
+    #: fallback instead of silently degrading the lockstep contract.
+    supports_codegen = False
     supports_overlap = False
 
     def __init__(
@@ -270,62 +273,8 @@ class LockstepPort(Port):
     # ------------------------------------------------------------------ #
     # kernel set: every call runs on both ports and is cross-checked
     # ------------------------------------------------------------------ #
-    def set_field(self) -> None:
-        self._run("set_field", lambda p: p.set_field())
-
-    def tea_leaf_init(self, dt: float, coefficient: str) -> None:
-        self._run("tea_leaf_init", lambda p: p.tea_leaf_init(dt, coefficient))
-
-    def tea_leaf_residual(self) -> None:
-        self._run("tea_leaf_residual", lambda p: p.tea_leaf_residual())
-
-    def cg_init(self) -> float:
-        return self._run("cg_init", lambda p: p.cg_init())
-
-    def cg_calc_w(self) -> float:
-        return self._run("cg_calc_w", lambda p: p.cg_calc_w())
-
-    def cg_calc_ur(self, alpha: float) -> float:
-        return self._run("cg_calc_ur", lambda p: p.cg_calc_ur(alpha))
-
-    def cg_calc_p(self, beta: float) -> None:
-        self._run("cg_calc_p", lambda p: p.cg_calc_p(beta))
-
-    def cheby_init(self, theta: float) -> None:
-        self._run("cheby_init", lambda p: p.cheby_init(theta))
-
-    def cheby_iterate(self, alpha: float, beta: float) -> None:
-        self._run("cheby_iterate", lambda p: p.cheby_iterate(alpha, beta))
-
-    def ppcg_precon_init(self, theta: float) -> None:
-        self._run("ppcg_precon_init", lambda p: p.ppcg_precon_init(theta))
-
-    def ppcg_precon_inner(self, alpha: float, beta: float) -> None:
-        self._run("ppcg_precon_inner", lambda p: p.ppcg_precon_inner(alpha, beta))
-
-    def ppcg_calc_p(self, beta: float) -> None:
-        self._run("ppcg_calc_p", lambda p: p.ppcg_calc_p(beta))
-
-    def cg_precon_jacobi(self) -> None:
-        self._run("cg_precon_jacobi", lambda p: p.cg_precon_jacobi())
-
-    def jacobi_iterate(self) -> float:
-        return self._run("jacobi_iterate", lambda p: p.jacobi_iterate())
-
-    def norm2_field(self, name: str) -> float:
-        return self._run("norm2_field", lambda p: p.norm2_field(name))
-
-    def dot_fields(self, a: str, b: str) -> float:
-        return self._run("dot_fields", lambda p: p.dot_fields(a, b))
-
-    def copy_field(self, src: str, dst: str) -> None:
-        self._run("copy_field", lambda p: p.copy_field(src, dst))
-
-    def tea_leaf_finalise(self) -> None:
-        self._run("tea_leaf_finalise", lambda p: p.tea_leaf_finalise())
-
-    def field_summary(self) -> tuple[float, float, float, float]:
-        return self._run("field_summary", lambda p: p.field_summary())
+    def dispatch(self, call: KernelCall):
+        return self._run(call.op, lambda p: p.dispatch(call))
 
     def update_halo(self, names: Iterable[str], depth: int) -> None:
         names = tuple(names)

@@ -119,14 +119,12 @@ class _Template:
     ``k`` is the member slot indexing ``argv`` and suffixing locals.
     ``baked`` marks arg positions whose *values* are baked into the
     generated source (field-name strings only — never scalars), and so
-    participate in the function-cache key.  ``launches`` overrides the
-    default single traced launch.
+    participate in the function-cache key.
     """
 
     fields: Callable[[tuple], tuple[str, ...]]
     emit: Callable[[list[str], tuple, int], None]
     baked: tuple[int, ...] = ()
-    launches: Callable[[KernelCall], tuple[tuple[str, KernelSpec | None], ...]] | None = None
     #: The body reads the cached diag(A) (bound as ``v_diag``).
     diag: bool = False
 
@@ -253,10 +251,9 @@ def _e_cg_precon_jacobi(L: list[str], args: tuple, k: int) -> None:
 
 
 def _e_jacobi_iterate(L: list[str], args: tuple, k: int) -> None:
-    # Matches the shared shim: stash the old iterate in r (the port's
-    # only free array), sweep u from it, return sum |u_new - u_old|.
+    # The plan stashed the old iterate in r (copy_field); sweep u from
+    # it and return sum |u_new - u_old|.
     L += [
-        "v_r[...] = v_u",
         "v_u[I, J] = (v_u0[I, J]"
         " + v_kx[I, Jp] * v_r[I, Jp] + v_kx[I, J] * v_r[I, Jm]"
         " + v_ky[Ip, J] * v_r[Ip, J] + v_ky[I, J] * v_r[Im, J]"
@@ -323,7 +320,6 @@ _TEMPLATES: dict[str, _Template] = {
     "jacobi_iterate": _Template(
         _static(F.U, F.U0, F.KX, F.KY, F.R),
         _e_jacobi_iterate,
-        launches=lambda c: (("copy_field", None), ("jacobi_iterate", None)),
         diag=True,
     ),
     "norm2_field": _Template(
@@ -338,8 +334,8 @@ _TEMPLATES: dict[str, _Template] = {
     "tea_leaf_finalise": _Template(
         _static(F.U, F.DENSITY, F.ENERGY1), _e_tea_leaf_finalise
     ),
-    # field_summary is intentionally absent: the driver calls it directly
-    # on the port, outside any plan, so it never reaches the lowerer.
+    # field_summary is intentionally absent: the driver and the ABFT
+    # check dispatch it outside any plan, so it never reaches the lowerer.
 }
 
 
@@ -479,13 +475,7 @@ def lower_steps(steps: list) -> list:
     out: list = []
     for step in steps:
         if isinstance(step, KernelCall) and step.op in _TEMPLATES:
-            t = _TEMPLATES[step.op]
-            launches = (
-                t.launches(step)
-                if t.launches is not None
-                else ((OPS[step.op].kernel, None),)
-            )
-            out.append(_lower((step,), launches))
+            out.append(_lower((step,), ((OPS[step.op].kernel, None),)))
         elif isinstance(step, FusedGroup) and all(
             c.op in _TEMPLATES for c in step.calls
         ):

@@ -6,8 +6,9 @@ and reductions.  This module makes that shared structure explicit: solvers
 build :class:`Plan` objects — flat sequences of kernel calls, halo
 exchanges, and scalar recurrences — and a :class:`PlanExecutor` replays
 them against any port.  Each port then needs only a table of ``_k_*``
-primitives plus a residency adapter (see ``models/base.py``); the ~20
-imperative per-port kernel methods collapse into the shared dispatch core.
+primitives plus a residency adapter (see ``models/base.py``): every kernel
+operation, inside a plan or not, runs through ``Port.dispatch`` with a
+:class:`KernelCall`.
 
 Because the plan knows, per operation, which fields are read (and which of
 those through the 5-point stencil), which are written, and whether a global
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.kernels import KERNELS, KernelSpec
@@ -116,11 +118,12 @@ def _op(name: str, **kw: Any) -> tuple[str, OpSpec]:
 
 from repro.core import fields as F  # noqa: E402  (table needs the names)
 
-#: Every port-level operation a plan may call, keyed by the public
-#: ``Port`` method name.  ``fusable=False`` marks operations whose bodies
-#: are multi-sweep (cheby/ppcg inner) or whose port implementations differ
-#: structurally (copy_field is a D2D memcpy on CUDA, a deep_copy on
-#: Kokkos) — fusing those would change trace structure per model.
+#: Every port-level operation a plan may call, keyed by the op name a
+#: :class:`KernelCall` carries (each port implements it as ``_k_<op>``).
+#: ``fusable=False`` marks operations whose bodies are multi-sweep
+#: (cheby/ppcg inner) or whose port implementations differ structurally
+#: (copy_field is a D2D memcpy on CUDA, a deep_copy on Kokkos) — fusing
+#: those would change trace structure per model.
 OPS: dict[str, OpSpec] = dict(
     (
         _op(
@@ -213,7 +216,7 @@ OPS: dict[str, OpSpec] = dict(
             "jacobi_iterate",
             reads=(F.U, F.U0, F.KX, F.KY, F.R),
             stencil_reads=(F.R, F.KX, F.KY),
-            writes=(F.U, F.R),
+            writes=(F.U,),
             reduction=True,
         ),
         _op("norm2_field", kernel="norm2", reads_args=True, reduction=True, fusable=True),
@@ -252,7 +255,7 @@ class Bind:
 
 @dataclass(frozen=True)
 class KernelCall:
-    """One port operation: ``env[out] = port.<op>(*args)``."""
+    """One port operation: ``env[out] = port.dispatch(call)``."""
 
     op: str
     args: tuple[Any, ...] = ()
@@ -264,6 +267,16 @@ class KernelCall:
     @property
     def spec(self) -> OpSpec:
         return OPS[self.op]
+
+    @cached_property
+    def has_binds(self) -> bool:
+        """True when an argument is late-bound; the executor resolves
+        those per execution and dispatches plain calls as they are."""
+        return any(isinstance(a, Bind) for a in self.args)
+
+
+#: The interior totals the driver reports and the ABFT check reads.
+FIELD_SUMMARY = KernelCall("field_summary")
 
 
 @dataclass(frozen=True)
@@ -1037,12 +1050,12 @@ def compute_liveness(timeline: Sequence[Plan]) -> FieldLiveness:
 class PlanExecutor:
     """Replays compiled plans against one port.
 
-    With fusion off every :class:`KernelCall` goes through the port's
-    *public* kernel method — preserving the per-model trace structure and
-    any wrapper a harness has installed (lockstep comparison).  With
-    fusion on, eligible groups dispatch through ``port.dispatch_fused``
-    as one traced launch whose member bodies run in original order, so
-    results stay bitwise-identical.
+    With fusion off every :class:`KernelCall` goes through
+    ``port.dispatch`` — preserving the per-model trace structure and any
+    wrapper a harness has installed (lockstep comparison).  With fusion
+    on, eligible groups dispatch through ``port.dispatch_fused`` as one
+    traced launch whose member bodies run in original order, so results
+    stay bitwise-identical.
 
     With a resilience manager attached the executor compiles the
     *instrumented* plan variant (fault triggers + scalar guards at fusion
@@ -1050,8 +1063,8 @@ class PlanExecutor:
     into the manager — feeding incremental checkpoints and scalar-state
     capture.  Without one, the disabled path pays exactly nothing.
 
-    A flag a port cannot honour (``codegen`` on a decomposed port,
-    ``overlap`` on a proxy that intercepts public kernel calls) is not
+    A flag a port cannot honour (``codegen`` on a decomposed port or the
+    lockstep proxy, ``overlap`` on that proxy) is not
     silently dropped: the degradation is recorded in :attr:`fallbacks`
     so the driver can warn and the run report can show it.
     """
@@ -1205,11 +1218,15 @@ class PlanExecutor:
                     for call in calls:
                         m.note_writes(call.spec.written(call.args))
             elif isinstance(step, KernelCall):
-                args = self._resolve(step.args, env)
-                value = getattr(port, step.op)(*args)
+                call = (
+                    KernelCall(step.op, self._resolve(step.args, env))
+                    if step.has_binds
+                    else step
+                )
+                value = port.dispatch(call)
                 self._store(step, value, env)
                 if m is not None:
-                    m.note_writes(step.spec.written(args))
+                    m.note_writes(step.spec.written(call.args))
             elif isinstance(step, HaloStep):
                 port.update_halo(step.names, depth=step.depth)
                 self.comm.record_halo(
@@ -1284,7 +1301,7 @@ def executor_for(port: Any) -> PlanExecutor:
 
     The driver configures and attaches one as ``port.plan_executor``;
     solver code driving a bare port (unit tests, harnesses) gets default
-    semantics — every call through the public kernel methods, unfused.
+    semantics — every call through ``port.dispatch``, unfused.
 
     The attached executor is only honoured when it drives *this exact
     object*: a delegating proxy (the lockstep harness) inherits

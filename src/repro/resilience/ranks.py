@@ -61,7 +61,7 @@ RANK_POLICIES = ("none", "spare", "shrink")
 #: data region and rebuild u0/kx/ky from the restored density/energy.
 #: Recovery re-executes the same compiled :class:`Plan` the driver's
 #: prologue uses (via the port's attached executor, so fusion and
-#: resilience instrumentation apply) rather than calling shim methods.
+#: resilience instrumentation apply) rather than dispatching calls by hand.
 RECOVERY_PLAN = Plan(
     "rank_recovery",
     (

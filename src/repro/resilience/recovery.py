@@ -35,6 +35,7 @@ from repro.core import fields as F
 from repro.core.deck import Deck
 from repro.core.solvers import CGSolver, ChebyshevSolver, PPCGSolver, Solver
 from repro.core.solvers.base import SolveResult
+from repro.models.plan import FIELD_SUMMARY
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.detectors import (
     ResidualMonitor,
@@ -398,9 +399,9 @@ class ResilienceManager:
         """Energy-conservation ABFT between steps; records a detection."""
         if self.trace is not None:
             with self.trace.section("resilience"):
-                summary = port.field_summary()
+                summary = port.dispatch(FIELD_SUMMARY)
         else:
-            summary = port.field_summary()
+            summary = port.dispatch(FIELD_SUMMARY)
         violation = abft_energy_violation(
             summary[2], expected_ie, self.config.abft_tolerance
         )

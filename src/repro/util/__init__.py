@@ -1,4 +1,4 @@
-"""Small shared utilities: errors, units, timers, and numeric helpers."""
+"""Small shared utilities: errors, units, retries, and numeric helpers."""
 
 from repro.util.errors import (
     ReproError,
@@ -17,7 +17,6 @@ from repro.util.units import (
     fmt_seconds,
     fmt_bandwidth,
 )
-from repro.util.timing import WallTimer, TimerRegistry
 from repro.util.retry import RetryPolicy, call_with_retries
 
 __all__ = [
@@ -34,8 +33,6 @@ __all__ = [
     "fmt_bytes",
     "fmt_seconds",
     "fmt_bandwidth",
-    "WallTimer",
-    "TimerRegistry",
     "RetryPolicy",
     "call_with_retries",
 ]

@@ -7,7 +7,10 @@ from repro.comm.multichunk import MultiChunkPort
 from repro.core import fields as F
 from repro.core.deck import default_deck
 from repro.core.driver import TeaLeaf
-from repro.util.errors import ModelError
+from repro.core.state import generate_chunk
+from repro.models.base import make_port
+from repro.models.plan import OPS, KernelCall
+from repro.util.errors import ModelError, RankFailureError
 
 
 def run_pair(solver: str, nranks: int, model: str = "openmp-f90", n: int = 32):
@@ -96,6 +99,92 @@ class TestCommunicationBehaviour:
         temps = [s.summary.temperature for s in result.steps]
         for t in temps[1:]:
             assert t == pytest.approx(temps[0], rel=1e-9)
+
+
+#: Arguments for one dispatch of each op in the kernel table.
+DISPATCH_ARGS = {
+    "set_field": (),
+    "tea_leaf_init": (0.009, "recip_conductivity"),
+    "tea_leaf_residual": (),
+    "cg_init": (),
+    "cg_calc_w": (),
+    "cg_calc_ur": (0.3,),
+    "cg_calc_p": (0.7,),
+    "cheby_init": (2.0,),
+    "cheby_iterate": (0.4, 0.6),
+    "ppcg_precon_init": (2.0,),
+    "ppcg_precon_inner": (0.4, 0.6),
+    "ppcg_calc_p": (0.7,),
+    "cg_precon_jacobi": (),
+    "jacobi_iterate": (),
+    "norm2_field": (F.R,),
+    "dot_fields": (F.R, F.P),
+    "copy_field": (F.R, F.SD),
+    "tea_leaf_finalise": (),
+    "field_summary": (),
+}
+
+
+class TestDispatchCoversEveryOp:
+    """One ``MultiChunkPort.dispatch`` serves the whole kernel table.
+
+    Each op runs once on a 2x2 decomposed port and on a single port
+    holding the same (randomised) fields: every interior field must come
+    out bit for bit the same, and reductions must allreduce to the single
+    port's scalar (the chunk partials are summed in a different order,
+    so to rounding) — or to its 4-tuple for ``field_summary``.
+    """
+
+    DECK = default_deck(n=16, end_step=1)
+    WORK = (F.U, F.U0, F.P, F.R, F.W, F.Z, F.SD, F.ENERGY1)
+
+    def _prepared(self, port):
+        grid = self.DECK.grid()
+        density, energy = generate_chunk(list(self.DECK.states), grid)
+        port.set_state(density, energy)
+        port.dispatch(KernelCall("set_field"))
+        port.dispatch(KernelCall("tea_leaf_init", (0.004, "conductivity")))
+        rng = np.random.default_rng(7)
+        for name in self.WORK:
+            port.write_field(name, rng.uniform(0.5, 1.5, grid.shape))
+        port.update_halo(self.WORK, depth=1)
+        return port
+
+    def test_table_is_covered(self):
+        assert set(DISPATCH_ARGS) == set(OPS)
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_op_matches_single_port(self, op):
+        grid = self.DECK.grid()
+        multi = self._prepared(MultiChunkPort(grid, 4, model="openmp-f90"))
+        assert {(w.left is None, w.down is None) for w in multi.windows} == {
+            (a, b) for a in (True, False) for b in (True, False)
+        }
+        single = self._prepared(make_port("openmp-f90", grid))
+        call = KernelCall(op, DISPATCH_ARGS[op])
+        got, want = multi.dispatch(call), single.dispatch(call)
+        if OPS[op].reduction:
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+            if op == "field_summary":
+                assert len(got) == 4
+        else:
+            assert got is None and want is None
+        inner = grid.inner()
+        for name in F.FIELD_ORDER:
+            np.testing.assert_array_equal(
+                multi.read_field(name)[inner],
+                single.read_field(name)[inner],
+                err_msg=f"{op}: field {name}",
+            )
+
+    def test_reduction_probes_ranks_before_any_chunk_kernel(self):
+        grid = self.DECK.grid()
+        port = self._prepared(MultiChunkPort(grid, 4, model="openmp-f90"))
+        before = port.trace.kernel_launches()
+        port.kill_rank(3)
+        with pytest.raises(RankFailureError):
+            port.dispatch(KernelCall("cg_init"))
+        assert port.trace.kernel_launches() == before
 
 
 class TestDecompositionProperty:

@@ -74,15 +74,6 @@ class TestTracing:
         summary_kernels = result.trace.filtered("summary", EventKind.KERNEL)
         assert all(not e.tagged("solve") for e in summary_kernels)
 
-    def test_timers_recorded(self):
-        deck = default_deck(n=16, end_step=2)
-        app = TeaLeaf(deck, model="openmp-f90")
-        app.run()
-        assert "solve" in app.timers
-        assert app.timers["solve"].count == 2
-        report = app.timers.report()
-        assert "solve" in report
-
 
 class TestVisitOutput:
     def test_vtk_written_at_frequency(self, tmp_path):

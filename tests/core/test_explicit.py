@@ -9,6 +9,7 @@ from repro.core import fields as F
 from repro.core.deck import default_deck, parse_deck
 from repro.core.driver import TeaLeaf
 from repro.core.solvers.explicit import STABILITY_SAFETY, stability_sum
+from repro.models.plan import KernelCall
 from repro.util.errors import ConvergenceError
 
 
@@ -115,8 +116,10 @@ class TestStabilitySum:
     def test_matches_hand_computation(self):
         deck = default_deck(n=16, solver="explicit", end_step=1)
         app = TeaLeaf(deck, model="openmp-f90")
-        app.port.set_field()
-        app.port.tea_leaf_init(deck.initial_timestep, deck.tl_coefficient)
+        app.port.dispatch(KernelCall("set_field"))
+        app.port.dispatch(
+            KernelCall("tea_leaf_init", (deck.initial_timestep, deck.tl_coefficient))
+        )
         s = stability_sum(app.port)
         kx = app.field(F.KX)
         ky = app.field(F.KY)

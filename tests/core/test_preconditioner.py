@@ -11,6 +11,7 @@ from repro.core import operators as ops
 from repro.core.deck import default_deck, parse_deck
 from repro.core.driver import TeaLeaf
 from repro.models.base import available_models
+from repro.models.plan import KernelCall
 
 
 def decks(n=32, eps=1e-10):
@@ -103,10 +104,12 @@ class TestPreconApplication:
         density, energy = generate_chunk(list(deck.states), g)
         port = make_port("openmp-f90", g)
         port.set_state(density, energy)
-        port.set_field()
-        port.tea_leaf_init(deck.initial_timestep, deck.tl_coefficient)
-        port.cg_init()
-        port.cg_precon_jacobi()
+        port.dispatch(KernelCall("set_field"))
+        port.dispatch(
+            KernelCall("tea_leaf_init", (deck.initial_timestep, deck.tl_coefficient))
+        )
+        port.dispatch(KernelCall("cg_init"))
+        port.dispatch(KernelCall("cg_precon_jacobi"))
         kx, ky = port.read_field(F.KX), port.read_field(F.KY)
         r, z = port.read_field(F.R), port.read_field(F.Z)
         h, nx, ny = g.halo, g.nx, g.ny

@@ -13,6 +13,7 @@ import pytest
 from repro.core import fields as F
 from repro.core.deck import default_deck
 from repro.core.driver import TeaLeaf
+from repro.models.plan import KernelCall
 from repro.resilience import (
     FaultPlan,
     FaultSpec,
@@ -132,10 +133,12 @@ class TestSolverHardening:
         deck = default_deck(n=8, solver="cg", end_step=1)
         deck = dataclasses.replace(deck, tl_preconditioner_type="jac_diag")
         app = TeaLeaf(deck, model="openmp-f90")
-        app.port.set_field()
-        app.port.tea_leaf_init(deck.initial_timestep, deck.tl_coefficient)
+        app.port.dispatch(KernelCall("set_field"))
+        app.port.dispatch(
+            KernelCall("tea_leaf_init", (deck.initial_timestep, deck.tl_coefficient))
+        )
         app.port.update_halo((F.U,), depth=app.grid.halo)
-        rr0 = app.port.cg_init()
+        rr0 = app.port.dispatch(KernelCall("cg_init"))
         # Zero the residual by hand: z = M^-1 r and p both become zero, so
         # p.Ap == 0 while the recorded squared residual rr0 stays above
         # tolerance — exactly the broken-down-basis case.
@@ -150,8 +153,10 @@ class TestSolverHardening:
     def test_non_finite_scalar_raises_corruption_error(self):
         deck = default_deck(n=16, solver="cg", end_step=1)
         app = TeaLeaf(deck, model="openmp-f90")
-        app.port.set_field()
-        app.port.tea_leaf_init(deck.initial_timestep, deck.tl_coefficient)
+        app.port.dispatch(KernelCall("set_field"))
+        app.port.dispatch(
+            KernelCall("tea_leaf_init", (deck.initial_timestep, deck.tl_coefficient))
+        )
         app.port.update_halo((F.U,), depth=app.grid.halo)
         u = app.port.read_field(F.U)
         u[5, 5] = np.nan

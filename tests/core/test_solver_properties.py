@@ -16,20 +16,21 @@ from repro.core import operators as ops
 from repro.core.grid import Grid2D
 from repro.core.solvers.base import Solver
 from repro.models.base import make_port
+from repro.models.plan import KernelCall
 from repro.util.errors import SolverError
 
 
 def solve_random_problem(port, grid, density, energy, dt, coefficient, eps=1e-10):
     """Drive a CG solve by hand through the port kernel set."""
     port.set_state(density, energy)
-    port.set_field()
+    port.dispatch(KernelCall("set_field"))
     port.begin_solve()
-    port.tea_leaf_init(dt, coefficient)
-    rro = port.cg_init()
+    port.dispatch(KernelCall("tea_leaf_init", (dt, coefficient)))
+    rro = port.dispatch(KernelCall("cg_init"))
     rr0 = rro
     for _ in range(5000):
         port.update_halo((F.P,), depth=1)
-        pw = port.cg_calc_w()
+        pw = port.dispatch(KernelCall("cg_calc_w"))
         if pw == 0.0:
             # Mirror the driver's hardened CG: p.Ap = 0 is only legitimate
             # when the residual already meets the tolerance (Solver raises
@@ -41,10 +42,10 @@ def solve_random_problem(port, grid, density, energy, dt, coefficient, eps=1e-10
                 f"residual {rro:.3e} still above tolerance"
             )
         alpha = rro / pw
-        rrn = port.cg_calc_ur(alpha)
+        rrn = port.dispatch(KernelCall("cg_calc_ur", (alpha,)))
         if rrn <= eps * eps * rr0:
             break
-        port.cg_calc_p(rrn / rro)
+        port.dispatch(KernelCall("cg_calc_p", (rrn / rro,)))
         rro = rrn
     port.end_solve()
 

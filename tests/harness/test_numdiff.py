@@ -5,17 +5,22 @@ report, and a single one-ULP perturbation injected into one kernel call
 must be localised to exactly that (iteration, kernel, field).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import fields as F
 from repro.core.deck import default_deck
+from repro.core.driver import TeaLeaf
 from repro.harness.numdiff import (
+    LockstepPort,
     Perturbation,
     run_numdiff,
     scalar_ulp,
     ulp_distance,
 )
+from repro.models.base import make_port
 
 
 class TestUlpDistance:
@@ -103,6 +108,49 @@ class TestLockstep:
         deck = default_deck(n=12, solver=solver, end_step=1, eps=1e-6)
         report = run_numdiff("openmp-f90", "cuda", deck)
         assert report.agreed, report.describe()
+
+
+class TestLockstepUnderCodegen:
+    """Generated kernels write device arrays directly, so the lockstep
+    facade refuses codegen and the run falls back to dispatched calls —
+    the only path on which both ports execute and are compared."""
+
+    DECK = replace(
+        default_deck(n=16, solver="cg", end_step=1, eps=1e-9), tl_codegen=True
+    )
+
+    def test_codegen_deck_agrees(self):
+        report = run_numdiff("openmp-f90", "kokkos", self.DECK)
+        assert report.agreed, report.describe()
+        assert report.iterations > 0
+
+    def test_codegen_fallback_recorded(self, capsys):
+        grid = self.DECK.grid()
+        lock = LockstepPort(
+            grid,
+            reference=make_port("openmp-f90", grid),
+            candidate=make_port("kokkos", grid),
+        )
+        app = TeaLeaf(self.DECK, port=lock)
+        assert app.executor.codegen is False
+        assert any("codegen" in m for m in app.executor.fallbacks)
+        assert "codegen requested" in capsys.readouterr().err
+        result = app.run()
+        assert any("codegen" in m for m in result.fallbacks)
+
+    def test_perturbation_still_localised_exactly(self):
+        report = run_numdiff(
+            "openmp-f90",
+            "kokkos",
+            self.DECK,
+            perturbation=Perturbation(kernel="cg_calc_ur", call_index=3, field=F.R),
+        )
+        d = report.divergence
+        assert d is not None
+        assert (d.kernel, d.call_index, d.iteration, d.field) == (
+            "cg_calc_ur", 3, 3, F.R,
+        )
+        assert d.max_ulp == 1
 
 
 class TestNumdiffCli:

@@ -160,8 +160,8 @@ def test_decomposed_exchange_and_edge_fixup_drop_chunk_diags():
     port = MultiChunkPort(GRID, 2, model="openmp-f90")
     density, energy0 = generate_chunk(list(DECK.states), GRID)
     port.set_state(density, energy0)
-    port.set_field()
-    port.tea_leaf_init(DT, DECK.tl_coefficient)
+    port.dispatch(KernelCall("set_field"))
+    port.dispatch(KernelCall("tea_leaf_init", (DT, DECK.tl_coefficient)))
 
     def fresh() -> list[bool]:
         return [chunk._diag_fresh for chunk in port.ports]

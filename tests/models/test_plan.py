@@ -185,7 +185,7 @@ class TestCheckFinite:
 
 
 class _RecordingPort:
-    """Minimal duck-typed port: records public kernel calls."""
+    """Minimal duck-typed port: records every dispatched kernel call."""
 
     supports_fusion = False
     has_data_region = False
@@ -194,15 +194,9 @@ class _RecordingPort:
     def __init__(self):
         self.calls = []
 
-    def cg_precon_jacobi(self):
-        self.calls.append("cg_precon_jacobi")
-
-    def dot_fields(self, a, b):
-        self.calls.append(f"dot_fields({a},{b})")
-        return 4.0
-
-    def ppcg_calc_p(self, beta):
-        self.calls.append(f"ppcg_calc_p({beta})")
+    def dispatch(self, call):
+        self.calls.append(call)
+        return 4.0 if call.op == "dot_fields" else None
 
     def update_halo(self, names, depth):
         self.calls.append(f"halo({','.join(names)},{depth})")
@@ -229,11 +223,15 @@ class TestExecutor:
         assert env["rrz"] == 4.0 and env["beta"] == 2.0
         assert port.calls == [
             "halo(p,2)",
-            "cg_precon_jacobi",
-            "dot_fields(r,z)",
-            "ppcg_calc_p(2.0)",
+            KernelCall("cg_precon_jacobi"),
+            KernelCall("dot_fields", (F.R, F.Z), out="rrz", finite=True),
+            KernelCall("ppcg_calc_p", (2.0,)),
             "begin_solve",
         ]
+        # Calls without late-bound scalars reach the port as the plan's
+        # own steps; a bound one is resolved into a fresh call.
+        assert port.calls[1] is plan.steps[1]
+        assert port.calls[2] is plan.steps[2]
 
     def test_fuse_requested_but_port_unsupported(self):
         port = _RecordingPort()

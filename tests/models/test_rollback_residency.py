@@ -17,6 +17,7 @@ import pytest
 from repro.core import fields as F
 from repro.core.deck import parse_deck_file
 from repro.core.driver import TeaLeaf
+from repro.models.plan import KernelCall
 
 DECK = Path(__file__).resolve().parents[2] / "decks" / "tea_bm_short.in"
 
@@ -44,11 +45,12 @@ def test_rollback_reuploads_restored_fields(model):
     # device-side reduction of it.
     u_good = port.read_field(F.U)
     m.checkpoints.capture_anchor(port, m.iteration)
-    norm_good = port.norm2_field(F.U)
+    norm_u = KernelCall("norm2_field", (F.U,))
+    norm_good = port.dispatch(norm_u)
 
     # Corrupt u through the host interface (how field faults land).
     port.write_field(F.U, u_good + 1.0e3)
-    assert port.norm2_field(F.U) != norm_good
+    assert port.dispatch(norm_u) != norm_good
 
     m.rollback(port, anchor=True)
 
@@ -57,7 +59,7 @@ def test_rollback_reuploads_restored_fields(model):
     np.testing.assert_array_equal(restored[inner], u_good[inner])
     # ...and so does a reduction computed on the device: the restored
     # field was re-uploaded, not served from a stale device array.
-    assert port.norm2_field(F.U) == norm_good
+    assert port.dispatch(norm_u) == norm_good
 
 
 @pytest.mark.parametrize("model", ["cuda", "opencl"])

@@ -15,6 +15,7 @@ from repro.core import fields as F
 from repro.core.deck import default_deck
 from repro.core.driver import TeaLeaf
 from repro.models.opencl_port import OpenCLPort
+from repro.models.plan import KernelCall
 
 
 def make_ports(n=8):
@@ -41,12 +42,13 @@ class TestScalarEquivalence:
 
         deck, grid, batch, scalar = make_ports()
         density, energy = generate_chunk(list(deck.states), grid)
+        init = KernelCall("tea_leaf_init", (deck.initial_timestep, deck.tl_coefficient))
         for port in (batch, scalar):
             port.set_state(density, energy)
-            port.set_field()
-            port.tea_leaf_init(deck.initial_timestep, deck.tl_coefficient)
-        rro_b = batch.cg_init()
-        rro_s = scalar.cg_init()
+            port.dispatch(KernelCall("set_field"))
+            port.dispatch(init)
+        rro_b = batch.dispatch(KernelCall("cg_init"))
+        rro_s = scalar.dispatch(KernelCall("cg_init"))
         assert rro_b == rro_s  # work-group tree order is identical
         np.testing.assert_array_equal(
             batch.read_field(F.KX), scalar.read_field(F.KX)

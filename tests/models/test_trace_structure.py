@@ -6,11 +6,19 @@ than Chebyshev, which is why the offload and manual-reduction models pay
 the most on CG.  These tests pin those mechanisms down quantitatively.
 """
 
+import dataclasses
+import hashlib
+from pathlib import Path
+
 import pytest
 
-from repro.core.deck import default_deck
+from repro.core import fields as F
+from repro.core.deck import default_deck, parse_deck_file
 from repro.core.driver import TeaLeaf
+from repro.harness.goldentrace import event_lines, trace_signature
 from repro.models.tracing import EventKind
+
+BENCH_DECK = Path(__file__).resolve().parents[2] / "decks" / "tea_bm_short.in"
 
 
 def trace_for(model: str, solver: str, n: int = 48):
@@ -122,3 +130,59 @@ class TestDataResidency:
         run = TeaLeaf(deck, model="kokkos").run()
         array_bytes = (32 + 4) * (32 + 4) * 8
         assert run.trace.transfer_bytes() == 2 * array_bytes  # density, energy0
+
+
+class TestJacobiTrace:
+    """The Jacobi sweep's old-iterate stash is a plan step of its own.
+
+    The benchmark deck with the Jacobi solver, interpreted and codegen,
+    on a host and an offload port: the counters and event-stream hashes
+    below were recorded while the stash was still hidden inside the
+    ``jacobi_iterate`` kernel method, so they pin that moving it into
+    the plan left every launch, transfer and bit where it was.
+    """
+
+    #: (model, codegen) -> (events, transfers, event_stream_sha256)
+    PINNED = {
+        ("openmp-f90", False): (
+            4462, 0,
+            "848780dae6561ec14a8fd28da267b084e56dfa3922dc4c20c099c2a8915781fe",
+        ),
+        ("openmp-f90", True): (
+            4462, 0,
+            "848780dae6561ec14a8fd28da267b084e56dfa3922dc4c20c099c2a8915781fe",
+        ),
+        ("cuda", False): (
+            7440, 1490,
+            "8b64b55bce7020ed67e690f8980811e4a17df910ba6e29d6888dd30f481a8ee8",
+        ),
+        ("cuda", True): (
+            4472, 6,
+            "0cde5794c027a927e96f3f79c9819d8272c56bff676a4c883777847ccfe0c064",
+        ),
+    }
+
+    @pytest.mark.parametrize("model, codegen", sorted(PINNED))
+    def test_launch_sequence_and_solution_pinned(self, model, codegen):
+        deck = dataclasses.replace(
+            parse_deck_file(BENCH_DECK), solver="jacobi", tl_codegen=codegen
+        )
+        app = TeaLeaf(deck, model=model)
+        result = app.run()
+        sig = trace_signature(result.trace)
+        u_sha = hashlib.sha256(app.field(F.U).tobytes()).hexdigest()[:16]
+        assert u_sha == "9dea67898bb4a80b"
+        assert result.total_iterations == 1476
+        assert sig["kernel_launches"] == 4462
+        assert sig["kernel_histogram"]["copy_field"] == 1476
+        assert sig["kernel_histogram"]["jacobi_iterate"] == 1476
+        events, transfers, stream = self.PINNED[(model, codegen)]
+        assert (sig["events"], sig["transfers"]) == (events, transfers)
+        assert sig["event_stream_sha256"] == stream
+        # Every sweep launch directly follows its stash copy.
+        kernels = [
+            line for line in event_lines(result.trace) if line.startswith("kernel:")
+        ]
+        for i, line in enumerate(kernels):
+            if line == "kernel:jacobi_iterate":
+                assert kernels[i - 1] == "kernel:copy_field"

@@ -1,6 +1,4 @@
-"""Utility layer: units, timers, errors."""
-
-import time
+"""Utility layer: units, errors."""
 
 import pytest
 
@@ -12,7 +10,6 @@ from repro.util.errors import (
     ReproError,
     SolverError,
 )
-from repro.util.timing import TimerRegistry, WallTimer
 from repro.util.units import (
     GIGA,
     fmt_bandwidth,
@@ -61,49 +58,6 @@ class TestUnits:
 
     def test_fmt_bandwidth(self):
         assert fmt_bandwidth(180.1 * GIGA) == "180.1 GB/s"
-
-
-class TestWallTimer:
-    def test_accumulates(self):
-        t = WallTimer()
-        with t:
-            time.sleep(0.001)
-        with t:
-            pass
-        assert t.count == 2
-        assert t.total > 0
-        assert t.mean == pytest.approx(t.total / 2)
-
-    def test_double_start_rejected(self):
-        t = WallTimer()
-        t.start()
-        with pytest.raises(RuntimeError):
-            t.start()
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            WallTimer().stop()
-
-    def test_mean_of_unused_timer(self):
-        assert WallTimer().mean == 0.0
-
-
-class TestTimerRegistry:
-    def test_autovivifies(self):
-        reg = TimerRegistry()
-        with reg["solve"]:
-            pass
-        assert "solve" in reg
-        assert "other" not in reg
-        assert reg.names() == ["solve"]
-
-    def test_report_format(self):
-        reg = TimerRegistry()
-        with reg["halo"]:
-            pass
-        report = reg.report()
-        assert "phase" in report.splitlines()[0]
-        assert "halo" in report
 
 
 class TestErrorHierarchy:
