@@ -351,9 +351,13 @@ class CampaignSpec:
         try:
             data = json.loads(path.read_text())
         except OSError as exc:
-            raise CampaignError(f"cannot read campaign spec {path}: {exc}") from exc
+            raise CampaignError(
+                f"campaign spec invalid: cannot read {path}: {exc}"
+            ) from exc
         except json.JSONDecodeError as exc:
-            raise CampaignError(f"campaign spec {path} is not JSON: {exc}") from exc
+            raise CampaignError(
+                f"campaign spec invalid: {path} is not JSON: {exc}"
+            ) from exc
         return cls.from_dict(data)
 
     def degraded_variant(self, resolved: Mapping[str, Any]) -> dict | None:

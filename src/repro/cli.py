@@ -18,6 +18,7 @@ import sys
 from repro.core.deck import default_deck, parse_deck_file
 from repro.core.driver import TeaLeaf
 from repro.models.base import DeviceKind, available_models, get_model
+from repro.util.errors import CampaignError, DeckError, ModelError, ReproError
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -26,8 +27,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.deck:
         deck = parse_deck_file(args.deck)
     else:
-        deck = default_deck(n=args.mesh, solver=args.solver, end_step=args.steps)
-    if args.solver and not args.deck:
+        deck = default_deck(n=args.mesh, end_step=args.steps)
+    if args.solver:
         deck = deck.with_solver(args.solver)
 
     # Resilience knobs layer on top of whatever the deck says.
@@ -181,16 +182,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     if args.precon != "none":
         deck = dataclasses.replace(deck, tl_preconditioner_type=args.precon)
     if getattr(args, "liveness", False):
-        try:
-            return _cmd_plan_liveness(args, deck)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-    try:
-        fragments = solver_plan_fragments(deck)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+        return _cmd_plan_liveness(args, deck)
+    fragments = solver_plan_fragments(deck)
     port = make_port(args.model, deck.grid(), Trace())
     fuse = args.fuse and port.supports_fusion
     transparent = not port.has_data_region
@@ -253,10 +246,8 @@ def _load_campaign_spec(args: argparse.Namespace):
     path = Path(target)
     if path.exists():
         return CampaignSpec.from_file(path)
-    from repro.util.errors import CampaignError
-
     raise CampaignError(
-        f"'{target}' is neither a built-in campaign "
+        f"campaign spec invalid: '{target}' is neither a built-in campaign "
         f"({', '.join(BUILTIN_CAMPAIGNS)}) nor a spec file"
     )
 
@@ -281,19 +272,10 @@ def _campaign_scheduler(spec, store_dir, args):
 def _cmd_campaign_launch(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.campaign import EXIT_SPEC_INVALID
-    from repro.util.errors import CampaignError
-
+    spec = _load_campaign_spec(args)
+    store_dir = Path(args.store) if args.store else Path("campaigns") / spec.name
     try:
-        spec = _load_campaign_spec(args)
-        store_dir = (
-            Path(args.store) if args.store else Path("campaigns") / spec.name
-        )
-        scheduler = _campaign_scheduler(spec, store_dir, args)
-        outcome = scheduler.run()
-    except CampaignError as exc:
-        print(f"campaign spec invalid: {exc}", file=sys.stderr)
-        return EXIT_SPEC_INVALID
+        outcome = _campaign_scheduler(spec, store_dir, args).run()
     except KeyboardInterrupt:
         print("campaign interrupted; `repro campaign resume` will pick up "
               "from the store", file=sys.stderr)
@@ -304,20 +286,15 @@ def _cmd_campaign_launch(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_resume(args: argparse.Namespace) -> int:
     from repro.campaign import EXIT_SPEC_INVALID, ResultStore
-    from repro.util.errors import CampaignError
 
     store_dir = _resolve_store_dir(args.target, args.store)
     if store_dir is None:
         print("resume needs a campaign: a store dir, a campaign name, or "
               "--store", file=sys.stderr)
         return EXIT_SPEC_INVALID
+    spec = ResultStore(store_dir).load_spec()
     try:
-        spec = ResultStore(store_dir).load_spec()
-        scheduler = _campaign_scheduler(spec, store_dir, args)
-        outcome = scheduler.run()
-    except CampaignError as exc:
-        print(f"cannot resume: {exc}", file=sys.stderr)
-        return EXIT_SPEC_INVALID
+        outcome = _campaign_scheduler(spec, store_dir, args).run()
     except KeyboardInterrupt:
         print("campaign interrupted; `repro campaign resume` will pick up "
               "from the store", file=sys.stderr)
@@ -339,13 +316,8 @@ def _campaign_manifest(args: argparse.Namespace):
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
     from repro.campaign import EXIT_SPEC_INVALID
-    from repro.util.errors import CampaignError
 
-    try:
-        store, spec, manifest = _campaign_manifest(args)
-    except CampaignError as exc:
-        print(f"{exc}", file=sys.stderr)
-        return EXIT_SPEC_INVALID
+    store, spec, manifest = _campaign_manifest(args)
     if manifest is None:
         print("status needs a campaign: a store dir, a campaign name, or "
               "--store", file=sys.stderr)
@@ -369,13 +341,8 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.campaign import EXIT_FAILURES, EXIT_SPEC_INVALID
-    from repro.util.errors import CampaignError
 
-    try:
-        store, spec, manifest = _campaign_manifest(args)
-    except CampaignError as exc:
-        print(f"{exc}", file=sys.stderr)
-        return EXIT_SPEC_INVALID
+    store, spec, manifest = _campaign_manifest(args)
     if manifest is None:
         print("report needs a campaign: a store dir, a campaign name, or "
               "--store", file=sys.stderr)
@@ -414,14 +381,15 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     import dataclasses
 
     from repro.core.batch import run_batch
-    from repro.util.errors import DeckError, ModelError
 
     if args.decks:
         decks = [parse_deck_file(path) for path in args.decks]
         labels = list(args.decks)
     else:
-        decks = [default_deck(n=args.mesh, solver=args.solver, end_step=args.steps)]
-        labels = [f"default({args.mesh}x{args.mesh}/{args.solver})"]
+        decks = [default_deck(n=args.mesh, end_step=args.steps)]
+        labels = [f"default({args.mesh}x{args.mesh}/{args.solver or 'cg'})"]
+    if args.solver:
+        decks = [deck.with_solver(args.solver) for deck in decks]
     if args.copies > 1:
         if len(decks) != 1:
             print("--copies takes exactly one deck to replicate", file=sys.stderr)
@@ -445,11 +413,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         f"TeaLeaf batch: {len(decks)} deck(s), model={args.model}, "
         f"solver={decks[0].solver}, mesh={decks[0].x_cells}x{decks[0].y_cells}"
     )
-    try:
-        batch = run_batch(decks, model=args.model, poison=args.poison)
-    except (DeckError, ModelError) as exc:
-        print(f"batch: {exc}", file=sys.stderr)
-        return 2
+    batch = run_batch(decks, model=args.model, poison=args.poison)
 
     for lane, (label, result) in enumerate(zip(labels, batch.results)):
         if result is None:
@@ -666,7 +630,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("deck", nargs="?", help="tea.in-style deck file")
     run.add_argument("--model", default="openmp-f90", help="programming-model port")
     run.add_argument("--mesh", type=int, default=128, help="NxN mesh (no deck file)")
-    run.add_argument("--solver", default="cg", help="cg|chebyshev|ppcg|jacobi")
+    run.add_argument(
+        "--solver",
+        help="cg|chebyshev|ppcg|jacobi|explicit (default: the deck's, else cg)",
+    )
     run.add_argument("--steps", type=int, default=2, help="timesteps (no deck file)")
     run.add_argument("--trace-out", help="write the execution trace as JSON")
     run.add_argument(
@@ -752,7 +719,10 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--copies", type=int, default=1,
                        help="replicate a single deck N times")
     batch.add_argument("--mesh", type=int, default=128, help="NxN mesh (no deck file)")
-    batch.add_argument("--solver", default="cg", help="cg|chebyshev|ppcg|jacobi")
+    batch.add_argument(
+        "--solver",
+        help="cg|chebyshev|ppcg|jacobi|explicit (default: the decks', else cg)",
+    )
     batch.add_argument("--steps", type=int, default=2, help="timesteps (no deck file)")
     batch.add_argument("--fuse", action="store_true",
                        help="fuse kernels in every lane (tl_fuse_kernels)")
@@ -941,9 +911,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Errors in what the user asked for; any other ReproError is a failed run.
+_INPUT_ERRORS = (DeckError, ModelError, CampaignError)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a :class:`ReproError` becomes one stderr line.
+
+    Input errors exit 2, any other library error exits 1 — never with a
+    traceback.
+    """
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ReproError as exc:
+        message = f"tealeaf {args.command}: {type(exc).__name__}: {exc}"
+        print(message, file=sys.stderr)
+        return 2 if isinstance(exc, _INPUT_ERRORS) else 1
 
 
 if __name__ == "__main__":

@@ -106,7 +106,7 @@ class MultiChunkPort(Port):
         self._dt = 0.0
         self._coefficient = "conductivity"
         #: Optional resilience FaultPlan; when set, outgoing halo messages
-        #: may be dropped, delayed or corrupted (see :meth:`attach_fault_plan`).
+        #: may be dropped, delayed or corrupted (see :meth:`attach_resilience`).
         self.fault_plan = None
         #: Optional ResilienceManager (for event records on retried
         #: exchanges); set by :meth:`attach_resilience`.
@@ -125,11 +125,7 @@ class MultiChunkPort(Port):
         from repro.resilience.ranks import RankRecovery
 
         self.rank_policy = rank_policy
-        self.recovery = RankRecovery(self, rank_policy, self.spare_pool)
-
-    def attach_fault_plan(self, plan) -> None:
-        """Let a resilience ``FaultPlan`` interpose on halo messages."""
-        self.fault_plan = plan
+        self.recovery = RankRecovery(nranks, rank_policy, self.spare_pool)
 
     def attach_resilience(self, manager) -> None:
         """Wire a ResilienceManager in: fault plan + exchange event log."""
@@ -186,11 +182,14 @@ class MultiChunkPort(Port):
 
     def capture_rank_checkpoints(self, iteration: int, step: int) -> int:
         """Buddy-checkpoint every chunk (no-op when rank_policy=none)."""
-        return self.recovery.capture(iteration, step)
+        return self.recovery.capture(self, iteration, step)
 
-    def recover_ranks(self) -> list[str]:
-        """Repair dead chunks per the configured policy; returns details."""
-        return self.recovery.recover()
+    def recover_ranks(self, ex) -> list[str]:
+        """Repair dead chunks per the configured policy; returns details.
+
+        ``ex`` is the run's executor over this port.
+        """
+        return self.recovery.recover(ex)
 
     def _rebuild(self, nchunks: int, models: list[str]) -> None:
         """Re-decompose over ``nchunks`` fresh ranks (shrink recovery)."""

@@ -122,7 +122,7 @@ class BatchConductor:
         self._grid = grid
         self._cond = threading.Condition()
         self._active: set[int] = set(range(lanes))
-        self._waiting: dict[int, tuple[Any, Any, tuple]] = {}
+        self._waiting: dict[int, tuple[Any, Any, tuple, Any]] = {}
         self._results: dict[int, tuple] = {}
         #: Telemetry: rounds fired / kernel calls swept batched vs solo.
         self.rounds = 0
@@ -130,10 +130,16 @@ class BatchConductor:
         self.solo_calls = 0
 
     # ------------------------------------------------------------------ #
-    def submit(self, lane: int, port: Any, step: Any, argv: tuple) -> tuple:
-        """Park ``lane`` at the rendezvous; returns its step's results."""
+    def submit(
+        self, lane: int, port: Any, step: Any, argv: tuple, ctx: Any
+    ) -> tuple:
+        """Park ``lane`` at the rendezvous; returns its step's results.
+
+        ``ctx`` is the lane executor's codegen context, used if the step
+        ends up dispatched solo.
+        """
         with self._cond:
-            self._waiting[lane] = (port, step, argv)
+            self._waiting[lane] = (port, step, argv, ctx)
             if self._ready():
                 self._fire()
                 self._cond.notify_all()
@@ -160,7 +166,7 @@ class BatchConductor:
     def _fire(self) -> None:
         self.rounds += 1
         groups: dict[int, list[int]] = {}
-        for lane, (_, step, _) in self._waiting.items():
+        for lane, (_, step, _, _) in self._waiting.items():
             groups.setdefault(id(step.fn), []).append(lane)
         for lanes in groups.values():
             lanes.sort()
@@ -173,7 +179,7 @@ class BatchConductor:
         self._waiting.clear()
 
     def _batchable(self, run: list[int]) -> bool:
-        port0, step0, argv0 = self._waiting[run[0]]
+        port0, step0, argv0, _ = self._waiting[run[0]]
         if not port0.supports_field_binding:
             return False
         # Differing string args (coefficient mode names) would collapse
@@ -190,7 +196,7 @@ class BatchConductor:
 
     def _sweep(self, run: list[int]) -> None:
         lane0, count = run[0], len(run)
-        port0, step, _ = self._waiting[lane0]
+        port0, step, _, _ = self._waiting[lane0]
         ctx = BatchContext(
             self._arena,
             lane0,
@@ -204,7 +210,7 @@ class BatchConductor:
         # launches and dirty sets its solo dispatch would have (the
         # lane's *own* step object — same fn, possibly distinct plan).
         for lane in run:
-            port, lane_step, argv = self._waiting[lane]
+            port, lane_step, argv, _ = self._waiting[lane]
             for kernel_name, spec in lane_step.launches:
                 port._launch(kernel_name, spec=spec)
             for call, args in zip(lane_step.calls, argv):
@@ -219,8 +225,8 @@ class BatchConductor:
             )
 
     def _solo(self, lane: int) -> None:
-        port, step, argv = self._waiting[lane]
-        self._results[lane] = port.dispatch_compiled(step, argv)
+        port, step, argv, ctx = self._waiting[lane]
+        self._results[lane] = port.dispatch_compiled(step, argv, ctx)
         self.solo_calls += len(step.calls)
 
     def _stack_argv(self, run: list[int]) -> tuple:
@@ -230,7 +236,7 @@ class BatchConductor:
         the views' trailing axis, so each lane still multiplies by its
         own alpha/beta bit-for-bit.
         """
-        _, step, argv0 = self._waiting[run[0]]
+        _, step, argv0, _ = self._waiting[run[0]]
         stacked = []
         for call_idx in range(len(step.calls)):
             call_args = []
@@ -394,14 +400,6 @@ def run_batch(
         hashlib.sha256(app.field(F.U).tobytes()).hexdigest()[:16]
         for app in apps
     ]
-    # Each lane's port and executor point at each other, and the port's
-    # codegen context holds its bound methods.  Unhook both so the lanes
-    # and the arena are freed when the batch returns, not at the next
-    # full garbage collection: a batch loop's memory then stays flat.
-    for app in apps:
-        app.port.plan_executor = None
-        app.port._codegen_ctx_cache = None
-
     return BatchResult(
         results=results,
         wall_seconds=wall,

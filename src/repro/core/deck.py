@@ -223,16 +223,11 @@ class Deck:
         if self.tl_field_arena:
             # Slot sharing makes checkpoint restore order-dependent (two
             # fields restored into one buffer), so the resilience layer is
-            # out; the explicit solver builds no plans to analyse.
+            # out.
             if self.tl_resilient or self.tl_inject:
                 raise DeckError(
                     "tl_field_arena is incompatible with tl_resilient/tl_inject "
                     "(slot-shared storage breaks checkpoint restore ordering)"
-                )
-            if self.solver == "explicit":
-                raise DeckError(
-                    "tl_field_arena needs a plan-based solver "
-                    "(explicit has no plan IR to run liveness on)"
                 )
         if self.states and not any(s.index == 1 for s in self.states):
             raise DeckError("state 1 (the background) is missing")

@@ -180,22 +180,19 @@ class TeaLeaf:
 
             self.solver = ResilientSolver(self.solver, self.resilience)
             # Decomposed ports take comm-level faults and report retried
-            # exchanges; older ports may only accept the fault plan.
+            # exchanges.
             attach = getattr(self.port, "attach_resilience", None)
             if attach is not None:
                 attach(self.resilience)
-            else:
-                attach = getattr(self.port, "attach_fault_plan", None)
-                if attach is not None:
-                    attach(self.resilience.plan)
 
-        # Plan execution: every port runs its kernels through one shared
-        # executor.  Fusion is opt-in per deck and only honoured by ports
-        # that declare it legal.  Under resilience the executor compiles
-        # the *instrumented* plan variant — fault triggers and scalar
-        # guards are plan steps placed at fusion-group boundaries, so
-        # injection and detection compose with fusion instead of forcing
-        # it off.
+        # Plan execution: the executor owns the run and is handed to the
+        # solver on every step; the port keeps no reference to it, so a
+        # finished run is freed by reference counting.  Fusion is opt-in
+        # per deck and only honoured by ports that declare it legal.
+        # Under resilience the executor compiles the *instrumented* plan
+        # variant — fault triggers and scalar guards are plan steps placed
+        # at fusion-group boundaries, so injection and detection compose
+        # with fusion instead of forcing it off.
         from repro.models.plan import PlanExecutor
 
         self.executor = PlanExecutor(
@@ -205,7 +202,6 @@ class TeaLeaf:
             codegen=deck.tl_codegen,
             overlap=deck.tl_overlap,
         )
-        self.port.plan_executor = self.executor
         # A requested optimisation the port cannot honour degrades
         # loudly: one warning line per fallback, plus a record on the
         # run result — never a silent flag drop.
@@ -304,7 +300,7 @@ class TeaLeaf:
                         self._prologue,
                         {"dt": dt, "coefficient": self.deck.tl_coefficient},
                     )
-                    solve = self.solver.solve(self.port, self.deck)
+                    solve = self.solver.solve(self.executor, self.deck)
                     self.executor.run(self._epilogue)
                 if manager is not None:
                     violation = manager.abft_check(self.port, self._abft_expected)
@@ -337,7 +333,7 @@ class TeaLeaf:
                     raise
                 manager.record("detect", f"step-level rank failure: {exc}")
                 manager.drain_comm(self.port)
-                if not manager.repair_ranks(self.port):
+                if not manager.repair_ranks(self.executor):
                     raise
                 manager.retry_backoff(retries)
 

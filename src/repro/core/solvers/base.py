@@ -7,7 +7,8 @@ CG iterations.
 
 The kernel sequences themselves are expressed as :class:`~repro.models.plan.Plan`
 fragments (module constants below and in the solver modules) replayed
-through the port's plan executor.  Control flow that needs a host decision
+through the run's :class:`~repro.models.plan.PlanExecutor`, which the
+driver hands to :meth:`Solver.solve`.  Control flow that needs a host decision
 — breakdown tests, convergence checks — stays in Python between fragments,
 so the fragments split exactly at the reduction scalars those decisions
 consume.
@@ -27,14 +28,9 @@ from repro.models.plan import (
     HaloStep,
     KernelCall,
     Plan,
+    PlanExecutor,
     ScalarStep,
-    check_finite,
-    executor_for,
 )
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # avoid a core <-> models import cycle
-    from repro.models.base import Port
 from repro.util.errors import ConvergenceError, SolverError
 
 
@@ -110,7 +106,7 @@ CG_ITER_TAIL = Plan("cg_iter_tail", (KernelCall("cg_calc_p", (Bind("beta"),)),))
 
 
 class Solver(ABC):
-    """One TeaLeaf solver algorithm, driven through the Port kernel set."""
+    """One TeaLeaf solver algorithm, driven through a plan executor."""
 
     name: str = "?"
 
@@ -120,23 +116,12 @@ class Solver(ABC):
     eigen_filter = None
 
     @abstractmethod
-    def solve(self, port: Port, deck: Deck) -> SolveResult:
-        """Advance ``u`` to the implicit solution of A u = u0."""
+    def solve(self, ex: PlanExecutor, deck: Deck) -> SolveResult:
+        """Advance ``u`` on ``ex.port`` to the implicit solution of A u = u0."""
 
     # ------------------------------------------------------------------ #
     # shared machinery
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _finite(name: str, value: float) -> float:
-        """Scalar corruption guard: NaN/Inf must never propagate silently.
-
-        Delegates to :func:`repro.models.plan.check_finite` — the same
-        guard the plan executor applies to ``finite=True`` steps — so one
-        float check runs per global reduction even when the resilience
-        layer is disabled.
-        """
-        return check_finite(name, value)
-
     @staticmethod
     def _converged(rrn: float, rr0: float, eps: float) -> bool:
         """Relative residual test: ||r|| <= eps * ||r0||.
@@ -150,7 +135,7 @@ class Solver(ABC):
 
     @staticmethod
     def cg_iterations(
-        port: Port,
+        ex: PlanExecutor,
         deck: Deck,
         max_iters: int,
         rro: float,
@@ -163,7 +148,6 @@ class Solver(ABC):
         ``result`` (consumed by the Lanczos eigenvalue estimate), updating
         ``result.iterations`` / ``.error`` / ``.converged`` in place.
         """
-        ex = executor_for(port)
         env = {"rro": rro}
         for _ in range(max_iters):
             ex.run(CG_ITER_HEAD, env)

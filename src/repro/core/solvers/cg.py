@@ -27,12 +27,8 @@ from repro.core.solvers.base import (
     SolveResult,
     cg_alpha,
 )
-from repro.models.plan import Bind, KernelCall, Plan, ScalarStep, executor_for
+from repro.models.plan import Bind, KernelCall, Plan, PlanExecutor, ScalarStep
 from repro.util.errors import SolverError
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # avoid a core <-> models import cycle
-    from repro.models.base import Port
 
 
 def pcg_beta(env: Mapping[str, float]) -> float:
@@ -77,8 +73,8 @@ PCG_ITER_TAIL = Plan(
 class CGSolver(Solver):
     name = "cg"
 
-    def solve(self, port: Port, deck: Deck) -> SolveResult:
-        rro = executor_for(port).run(SOLVE_INIT)["rro"]
+    def solve(self, ex: PlanExecutor, deck: Deck) -> SolveResult:
+        rro = ex.run(SOLVE_INIT)["rro"]
         result = SolveResult(
             solver=self.name,
             converged=False,
@@ -91,18 +87,17 @@ class CGSolver(Solver):
             result.converged = True
             return result
         if deck.tl_preconditioner_type == "jac_diag":
-            self._preconditioned_iterations(port, deck, rro, result)
+            self._preconditioned_iterations(ex, deck, rro, result)
         else:
-            self.cg_iterations(port, deck, deck.tl_max_iters, rro, rro, result)
+            self.cg_iterations(ex, deck, deck.tl_max_iters, rro, rro, result)
         return self.require_convergence(result, deck)
 
     @staticmethod
     def _preconditioned_iterations(
-        port: Port, deck: Deck, rr0: float, result: SolveResult
+        ex: PlanExecutor, deck: Deck, rr0: float, result: SolveResult
     ) -> None:
         """Diagonal-Jacobi PCG.  Convergence stays on the true residual
         norm (rrn from cg_calc_ur), as in the reference kernels."""
-        ex = executor_for(port)
         env = ex.run(PCG_SETUP)
         for _ in range(deck.tl_max_iters):
             ex.run(CG_ITER_HEAD, env)

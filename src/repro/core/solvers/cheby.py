@@ -31,11 +31,14 @@ from repro.core import fields as F
 from repro.core.deck import Deck
 from repro.core.solvers.base import SOLVE_INIT, Solver, SolveResult
 from repro.core.solvers.eigenvalue import EigenEstimate, estimate_eigenvalues
-from repro.models.plan import Bind, HaloStep, KernelCall, Plan, ScalarStep, executor_for
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # avoid a core <-> models import cycle
-    from repro.models.base import Port
+from repro.models.plan import (
+    Bind,
+    HaloStep,
+    KernelCall,
+    Plan,
+    PlanExecutor,
+    ScalarStep,
+)
 
 
 def cheby_rho_new(env: Mapping[str, float]) -> float:
@@ -88,8 +91,8 @@ CHEBY_CHECK = Plan("cheby_check", (KernelCall("norm2_field", (F.R,), out="rrn"),
 class ChebyshevSolver(Solver):
     name = "chebyshev"
 
-    def solve(self, port: Port, deck: Deck) -> SolveResult:
-        rro = executor_for(port).run(SOLVE_INIT)["rro"]
+    def solve(self, ex: PlanExecutor, deck: Deck) -> SolveResult:
+        rro = ex.run(SOLVE_INIT)["rro"]
         result = SolveResult(
             solver=self.name,
             converged=False,
@@ -104,7 +107,7 @@ class ChebyshevSolver(Solver):
             return result
 
         # --- CG bootstrap phase: progress + Ritz values ----------------- #
-        rro = self.cg_iterations(port, deck, deck.tl_cg_eigen_steps, rro, rr0, result)
+        rro = self.cg_iterations(ex, deck, deck.tl_cg_eigen_steps, rro, rr0, result)
         if result.converged:
             return result
         estimate = estimate_eigenvalues(result.cg_alphas, result.cg_betas)
@@ -114,19 +117,18 @@ class ChebyshevSolver(Solver):
         result.eigen_max = estimate.eigen_max
 
         # --- Chebyshev phase -------------------------------------------- #
-        self.chebyshev_iterations(port, deck, estimate, rr0, result)
+        self.chebyshev_iterations(ex, deck, estimate, rr0, result)
         return self.require_convergence(result, deck)
 
     @staticmethod
     def chebyshev_iterations(
-        port: Port,
+        ex: PlanExecutor,
         deck: Deck,
         estimate: EigenEstimate,
         rr0: float,
         result: SolveResult,
     ) -> None:
         """The pure Chebyshev loop (shared with tests and ablations)."""
-        ex = executor_for(port)
         env = {
             "theta": estimate.theta,
             "delta": estimate.delta,

@@ -11,33 +11,43 @@ the test-suite.
 Implementation note: one explicit Euler step is ``u <- 2u - A u`` (with
 the face coefficients built for the sub-step), which is exactly a
 Chebyshev init sweep with ``theta = 1`` after refreshing ``u0 = u`` — so
-the solver composes entirely from the existing port kernel set and runs
-on every programming model unchanged.
+the solver composes entirely from the existing kernel set, as two plans
+(:data:`EXPLICIT_INIT`, :data:`EXPLICIT_STEP`) the executor replays on
+every programming model unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from repro.core import fields as F
 from repro.core.deck import Deck
 from repro.core.solvers.base import Solver, SolveResult
-from repro.models.plan import KernelCall
-
-if TYPE_CHECKING:  # avoid a core <-> models import cycle
-    from repro.models.base import Port
+from repro.models.plan import Bind, HaloStep, KernelCall, Plan, PlanExecutor
+from repro.util.errors import ConvergenceError
 
 #: Fraction of the stability limit to run at (the classic safety margin).
 STABILITY_SAFETY = 0.9
 
-#: The right-hand side of each sub-step is the current u.
-_STAGE_RHS = KernelCall("copy_field", (F.U, F.U0))
-#: u += (u0 - A u): one explicit Euler sub-step.
-_EULER_SWEEP = KernelCall("cheby_init", (1.0,))
+#: Rebuild the face coefficients for the stable sub-step ``dt``.
+EXPLICIT_INIT = Plan(
+    "explicit_init",
+    (KernelCall("tea_leaf_init", (Bind("dt"), Bind("coefficient"))),),
+)
+
+#: One explicit Euler sub-step: the right-hand side is the current u,
+#: then u += (u0 - A u).
+EXPLICIT_STEP = Plan(
+    "explicit_step",
+    (
+        KernelCall("copy_field", (F.U, F.U0)),
+        HaloStep((F.U,), depth=1),
+        KernelCall("cheby_init", (1.0,)),
+    ),
+)
 
 
-def stability_sum(port: "Port") -> float:
+def stability_sum(port) -> float:
     """max over cells of the coefficient row-sum (kx_e + kx_w + ky_n + ky_s).
 
     Forward Euler on the conduction operator is monotone/stable when this
@@ -59,16 +69,14 @@ class ExplicitSolver(Solver):
 
     name = "explicit"
 
-    def solve(self, port: "Port", deck: Deck) -> SolveResult:
+    def solve(self, ex: PlanExecutor, deck: Deck) -> SolveResult:
         dt = deck.initial_timestep
         # Coefficients were built for the full dt by tea_leaf_init; the
         # stability sum scales linearly in dt, so it directly gives the
         # sub-cycling factor.
-        s_full = stability_sum(port)
+        s_full = stability_sum(ex.port)
         substeps = max(1, math.ceil(s_full / STABILITY_SAFETY))
         if substeps > deck.tl_max_iters:
-            from repro.util.errors import ConvergenceError
-
             raise ConvergenceError(
                 f"explicit solve needs {substeps} sub-steps (stability sum "
                 f"{s_full:.1f}); the 1/dx^2 constraint makes this mesh "
@@ -77,14 +85,12 @@ class ExplicitSolver(Solver):
                 residual=float("nan"),
             )
 
-        # Rebuild coefficients for the stable sub-step.
-        port.dispatch(
-            KernelCall("tea_leaf_init", (dt / substeps, deck.tl_coefficient))
+        ex.run(
+            EXPLICIT_INIT,
+            {"dt": dt / substeps, "coefficient": deck.tl_coefficient},
         )
         for _ in range(substeps):
-            port.dispatch(_STAGE_RHS)
-            port.update_halo((F.U,), depth=1)
-            port.dispatch(_EULER_SWEEP)
+            ex.run(EXPLICIT_STEP)
 
         return SolveResult(
             solver=self.name,

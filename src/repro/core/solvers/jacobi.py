@@ -14,11 +14,7 @@ from __future__ import annotations
 from repro.core.deck import Deck
 from repro.core import fields as F
 from repro.core.solvers.base import Solver, SolveResult
-from repro.models.plan import HaloStep, KernelCall, Plan, executor_for
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # avoid a core <-> models import cycle
-    from repro.models.base import Port
+from repro.models.plan import HaloStep, KernelCall, Plan, PlanExecutor
 
 #: cg_init doubles as the initial-residual probe for reporting; its
 #: scalar is not finite-guarded here, matching the historical behaviour
@@ -51,8 +47,7 @@ JACOBI_RESIDUAL = Plan(
 class JacobiSolver(Solver):
     name = "jacobi"
 
-    def solve(self, port: Port, deck: Deck) -> SolveResult:
-        ex = executor_for(port)
+    def solve(self, ex: PlanExecutor, deck: Deck) -> SolveResult:
         rr0 = ex.run(JACOBI_INIT)["rr0"]
         result = SolveResult(
             solver=self.name,

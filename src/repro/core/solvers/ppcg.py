@@ -24,12 +24,15 @@ from repro.core.deck import Deck
 from repro.core.solvers.base import CG_ITER_HEAD, SOLVE_INIT, Solver, SolveResult
 from repro.core.solvers.cg import PCG_ITER_BODY, pcg_beta
 from repro.core.solvers.eigenvalue import EigenEstimate, estimate_eigenvalues
-from repro.models.plan import Bind, HaloStep, KernelCall, Plan, ScalarStep, executor_for
+from repro.models.plan import (
+    Bind,
+    HaloStep,
+    KernelCall,
+    Plan,
+    PlanExecutor,
+    ScalarStep,
+)
 from repro.util.errors import SolverError
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # avoid a core <-> models import cycle
-    from repro.models.base import Port
 
 
 def polynomial_preconditioner_plan(estimate: EigenEstimate, steps: int) -> Plan:
@@ -53,13 +56,6 @@ def polynomial_preconditioner_plan(estimate: EigenEstimate, steps: int) -> Plan:
         plan_steps.append(KernelCall("ppcg_precon_inner", (alpha, beta)))
         rho_old = rho_new
     return Plan(f"ppcg_precon({steps})", tuple(plan_steps))
-
-
-def apply_polynomial_preconditioner(
-    port: Port, estimate: EigenEstimate, steps: int
-) -> None:
-    """One preconditioner application on a bare port (tests, ablations)."""
-    executor_for(port).run(polynomial_preconditioner_plan(estimate, steps))
 
 
 #: Restart as preconditioned CG: fresh true residual before the first
@@ -95,8 +91,7 @@ PPCG_ITER_TAIL = Plan(
 class PPCGSolver(Solver):
     name = "ppcg"
 
-    def solve(self, port: Port, deck: Deck) -> SolveResult:
-        ex = executor_for(port)
+    def solve(self, ex: PlanExecutor, deck: Deck) -> SolveResult:
         rro = ex.run(SOLVE_INIT)["rro"]
         result = SolveResult(
             solver=self.name,
@@ -112,7 +107,7 @@ class PPCGSolver(Solver):
             return result
 
         # --- plain-CG bootstrap for the eigenvalue bounds ---------------- #
-        self.cg_iterations(port, deck, deck.tl_cg_eigen_steps, rro, rr0, result)
+        self.cg_iterations(ex, deck, deck.tl_cg_eigen_steps, rro, rr0, result)
         if result.converged:
             return result
         estimate = estimate_eigenvalues(result.cg_alphas, result.cg_betas)

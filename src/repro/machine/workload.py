@@ -199,6 +199,12 @@ class TracingStubPort(Port):
     step, so the real solver code runs its exact control flow.
     """
 
+    #: Generated kernels and overlapped sweeps read device arrays, which
+    #: the stub does not have; the executor records the fallback and the
+    #: synthesized stream is the interpreted one, as on the real port.
+    supports_codegen = False
+    supports_overlap = False
+
     def __init__(
         self,
         grid: Grid2D,

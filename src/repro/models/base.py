@@ -104,10 +104,6 @@ class Port(ABC):
     #: region; gates barrier hoisting in the plan compiler.
     has_data_region: bool = False
 
-    #: Executor the driver attaches for plan replay; solvers fall back to
-    #: an unfused :class:`~repro.models.plan.PlanExecutor` when absent.
-    plan_executor = None
-
     def __init__(self, grid: Grid2D, trace: Trace | None = None) -> None:
         self.grid = grid
         self.trace = trace if trace is not None else Trace()
@@ -379,32 +375,23 @@ class Port(ABC):
                 self._mark_dirty(written)
         return results
 
-    def dispatch_compiled(self, step, argv: tuple[tuple, ...]) -> tuple:
+    def dispatch_compiled(self, step, argv: tuple[tuple, ...], ctx) -> tuple:
         """Run one codegen-lowered step (see :mod:`repro.models.codegen`).
 
         The generated function reads and writes the port's device arrays
-        directly, so trace launches and residency dirtying are replayed
-        here from the step's pre-recorded accounting — one launch per
-        member call exactly as the interpreted dispatch would emit.
+        through ``ctx`` (the executor's codegen context for this port), so
+        trace launches and residency dirtying are replayed here from the
+        step's pre-recorded accounting — one launch per member call
+        exactly as the interpreted dispatch would emit.
         """
         for kernel_name, spec in step.launches:
             self._launch(kernel_name, spec=spec)
-        results = step.fn(self._codegen_ctx(), argv)
+        results = step.fn(ctx, argv)
         for call, args in zip(step.calls, argv):
             written = call.spec.written(args)
             if written:
                 self._mark_dirty(written)
         return results
-
-    def _codegen_ctx(self):
-        """The port's (cached) codegen evaluation context."""
-        ctx = getattr(self, "_codegen_ctx_cache", None)
-        if ctx is None:
-            from repro.models.codegen import CodegenContext
-
-            ctx = CodegenContext(self._device_array, self.grid, self._diag)
-            self._codegen_ctx_cache = ctx
-        return ctx
 
     # ------------------------------------------------------------------ #
     # halo update

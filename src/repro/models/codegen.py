@@ -58,7 +58,10 @@ from repro.models.stencil import face_coefficient, row_matvec
 class CodegenContext:
     """Geometry + array access environment for generated bodies.
 
-    One per port, built lazily by ``Port._codegen_ctx``.  ``array`` is
+    One per port, owned by the run's
+    :class:`~repro.models.plan.PlanExecutor` (the port keeps no
+    reference to it, so nothing cycles back through the port's bound
+    methods).  ``array`` is
     the port's ``_device_array`` accessor — the same arrays the halo
     logic mutates — so generated writes land exactly where the
     interpreted ``_k_*`` primitives write.  ``diag`` is the port's

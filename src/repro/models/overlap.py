@@ -477,6 +477,7 @@ def execute_overlap(
     port: Any,
     step: Any,
     argv: tuple[tuple, ...],
+    contexts: list[tuple[Any, Any]],
     stats: CommStats | None = None,
     plan_name: str = "",
 ) -> list:
@@ -489,15 +490,16 @@ def execute_overlap(
     the boundary strips are swept against the fresh ghosts, and finally
     the epilogues run over each chunk's whole interior with reduction
     partials combined through ``port.overlap_reduce`` (the same
-    deterministic allreduce the interpreted dispatch uses).  Returns one
-    result per member call, like ``dispatch_fused``.
+    deterministic allreduce the interpreted dispatch uses).  ``contexts``
+    pairs each of ``port.overlap_chunks()`` with its codegen context
+    (:meth:`~repro.models.plan.PlanExecutor.chunk_contexts`).  Returns
+    one result per member call, like ``dispatch_fused``.
     """
     halo = step.halo
     calls = step.calls
     templates = [OVERLAP_TEMPLATES[c.op] for c in calls]
     chunks = []
-    for cp in port.overlap_chunks():
-        ctx = cp._codegen_ctx()
+    for cp, ctx in contexts:
         core, strips = interior_partition(
             cp.grid.ny, cp.grid.nx, STENCIL_REACH
         )

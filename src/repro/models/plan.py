@@ -1048,14 +1048,19 @@ def compute_liveness(timeline: Sequence[Plan]) -> FieldLiveness:
 # the executor
 # --------------------------------------------------------------------- #
 class PlanExecutor:
-    """Replays compiled plans against one port.
+    """Replays compiled plans against one port: the owner of one run.
 
-    With fusion off every :class:`KernelCall` goes through
-    ``port.dispatch`` — preserving the per-model trace structure and any
-    wrapper a harness has installed (lockstep comparison).  With fusion
-    on, eligible groups dispatch through ``port.dispatch_fused`` as one
-    traced launch whose member bodies run in original order, so results
-    stay bitwise-identical.
+    The driver builds one executor per run and hands it to the solver;
+    the port holds no reference back.  With fusion off every
+    :class:`KernelCall` goes through ``port.dispatch`` — preserving the
+    per-model trace structure and any wrapper a harness has installed
+    (lockstep comparison).  With fusion on, eligible groups dispatch
+    through ``port.dispatch_fused`` as one traced launch whose member
+    bodies run in original order, so results stay bitwise-identical.
+
+    The executor also owns the codegen evaluation contexts of its port
+    and of every chunk port an overlapped step sweeps, so a finished run
+    is freed by reference counting alone.
 
     With a resilience manager attached the executor compiles the
     *instrumented* plan variant (fault triggers + scalar guards at fusion
@@ -1124,6 +1129,11 @@ class PlanExecutor:
         self._arena: Any = None
         self._arena_lane: int = 0
         self._poison_after: dict[str, tuple[str, ...]] = {}
+        #: Codegen contexts: the port's own, and ``(chunk port, context)``
+        #: pairs for overlapped sweeps, rebuilt when recovery replaces a
+        #: chunk port.
+        self._codegen_ctx: Any = None
+        self._chunk_ctxs: list[tuple[Any, Any]] = []
 
     def attach_arena(
         self,
@@ -1159,6 +1169,23 @@ class PlanExecutor:
             "misses": CACHE_STATS["misses"] - self._codegen_stats_base[1],
         }
 
+    def codegen_context(self) -> Any:
+        """The port's codegen evaluation context, built on first use."""
+        if self._codegen_ctx is None:
+            self._codegen_ctx = _codegen_context(self.port)
+        return self._codegen_ctx
+
+    def chunk_contexts(self) -> list[tuple[Any, Any]]:
+        """``(chunk port, codegen context)`` for every overlap chunk."""
+        chunks = self.port.overlap_chunks()
+        cached = self._chunk_ctxs
+        if len(cached) != len(chunks) or any(
+            cp is not held for cp, (held, _) in zip(chunks, cached)
+        ):
+            cached = [(cp, _codegen_context(cp)) for cp in chunks]
+            self._chunk_ctxs = cached
+        return cached
+
     def _halo_cost(self, names: tuple, depth: int) -> float:
         key = (names, depth)
         cost = self._halo_costs.get(key)
@@ -1189,12 +1216,13 @@ class PlanExecutor:
                     )
                 else:
                     argv = step.argv
+                ctx = self.codegen_context()
                 if self.batch_conductor is not None:
                     results = self.batch_conductor.submit(
-                        self.batch_lane, port, step, argv
+                        self.batch_lane, port, step, argv, ctx
                     )
                 else:
-                    results = port.dispatch_compiled(step, argv)
+                    results = port.dispatch_compiled(step, argv, ctx)
                 for call, value in zip(step.calls, results):
                     self._store(call, value, env)
                 if m is not None:
@@ -1245,7 +1273,7 @@ class PlanExecutor:
                 else:
                     argv = step.argv
                 results = self._execute_overlap(
-                    port, step, argv, self.comm, plan.name
+                    port, step, argv, self.chunk_contexts(), self.comm, plan.name
                 )
                 for call, value in zip(step.calls, results):
                     self._store(call, value, env)
@@ -1296,20 +1324,8 @@ class PlanExecutor:
             self.resilience.note_scalar(call.out, value)
 
 
-def executor_for(port: Any) -> PlanExecutor:
-    """The executor attached to ``port``, or a fusion-off fallback.
+def _codegen_context(port: Any) -> Any:
+    """A fresh codegen context over ``port``'s device arrays and diag(A)."""
+    from repro.models.codegen import CodegenContext
 
-    The driver configures and attaches one as ``port.plan_executor``;
-    solver code driving a bare port (unit tests, harnesses) gets default
-    semantics — every call through ``port.dispatch``, unfused.
-
-    The attached executor is only honoured when it drives *this exact
-    object*: a delegating proxy (the lockstep harness) inherits
-    ``plan_executor`` from the port it wraps, and reusing that executor
-    would dispatch straight to the inner port, silently bypassing the
-    proxy's interception.
-    """
-    ex = getattr(port, "plan_executor", None)
-    if ex is not None and ex.port is port:
-        return ex
-    return PlanExecutor(port)
+    return CodegenContext(port._device_array, port.grid, port._diag)

@@ -45,6 +45,7 @@ fault (the transient-fault model the recovery layer is built for).
 from __future__ import annotations
 
 import random
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -137,8 +138,10 @@ class FaultPlan:
     ) -> None:
         self.specs = tuple(specs)
         self.seed = seed
-        #: Called with (spec, detail) the moment a fault fires.
-        self.on_fire = on_fire
+        #: Bound method called with (spec, detail) the moment a fault
+        #: fires.  Held weakly: its owner (the resilience manager) owns
+        #: this plan, and a strong reference back would form a cycle.
+        self._on_fire = None if on_fire is None else weakref.WeakMethod(on_fire)
         self._fired = [False] * len(self.specs)
         self._kernel_calls: Counter[str] = Counter()
         self._halo_sends: Counter[str] = Counter()
@@ -157,8 +160,9 @@ class FaultPlan:
 
     def _fire(self, index: int, detail: str) -> None:
         self._fired[index] = True
-        if self.on_fire is not None:
-            self.on_fire(self.specs[index], detail)
+        on_fire = self._on_fire and self._on_fire()
+        if on_fire is not None:
+            on_fire(self.specs[index], detail)
 
     def _due(self, kind: str, count_by: Callable[[FaultSpec], bool]):
         for i, spec in enumerate(self.specs):

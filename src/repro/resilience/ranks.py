@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core import fields as F
-from repro.models.plan import BarrierStep, Bind, KernelCall, Plan, executor_for
+from repro.models.plan import BarrierStep, Bind, KernelCall, Plan, PlanExecutor
 from repro.util.errors import RankFailureError
 
 #: Fields snapshotted per chunk — the minimal set from which
@@ -60,8 +60,9 @@ RANK_POLICIES = ("none", "spare", "shrink")
 #: The bootstrap fragment replayed on a repaired port: enter the solve
 #: data region and rebuild u0/kx/ky from the restored density/energy.
 #: Recovery re-executes the same compiled :class:`Plan` the driver's
-#: prologue uses (via the port's attached executor, so fusion and
-#: resilience instrumentation apply) rather than dispatching calls by hand.
+#: prologue uses rather than dispatching calls by hand: through the run's
+#: executor after a shrink (so fusion and resilience instrumentation
+#: apply), through a fresh one on an adopted spare chunk.
 RECOVERY_PLAN = Plan(
     "rank_recovery",
     (
@@ -147,30 +148,33 @@ def assemble_global(grid, windows, snapshots) -> dict[str, np.ndarray]:
 
 
 class RankRecovery:
-    """Buddy checkpointing + spare/shrink recovery over a MultiChunkPort."""
+    """Buddy checkpointing + spare/shrink recovery over a MultiChunkPort.
 
-    def __init__(self, port, policy: str, spare_pool) -> None:
+    The port owns this object and passes itself to :meth:`capture` and
+    :meth:`recover`; holding no reference back keeps the pair acyclic.
+    """
+
+    def __init__(self, nchunks: int, policy: str, spare_pool) -> None:
         if policy not in RANK_POLICIES:
             raise ValueError(
                 f"unknown rank policy '{policy}' "
                 f"(expected one of {', '.join(RANK_POLICIES)})"
             )
-        self.port = port
         self.policy = policy
         self.spare_pool = list(spare_pool)
-        self.store = BuddyStore(port.nchunks)
+        self.store = BuddyStore(nchunks)
 
     # ------------------------------------------------------------------ #
     # capture
     # ------------------------------------------------------------------ #
-    def capture(self, iteration: int, step: int) -> int:
-        """Snapshot every chunk to its buddy; returns snapshots taken.
+    def capture(self, port, iteration: int, step: int) -> int:
+        """Snapshot every chunk of ``port`` to its buddy; returns
+        snapshots taken.
 
         Skipped entirely while a chunk is dead: mixing snapshot
         iterations would make the recovery cut inconsistent, so the last
         complete set is kept until the ensemble is whole again.
         """
-        port = self.port
         if self.policy == "none" or port.dead_chunks():
             return 0
         for chunk, chunk_port in enumerate(port.ports):
@@ -190,14 +194,15 @@ class RankRecovery:
     # ------------------------------------------------------------------ #
     # recovery
     # ------------------------------------------------------------------ #
-    def recover(self) -> list[str]:
-        """Repair the ensemble after fail-stop deaths; returns details.
+    def recover(self, ex: PlanExecutor) -> list[str]:
+        """Repair the ensemble ``ex.port`` after fail-stop deaths; returns
+        details.  ``ex`` is the run's executor.
 
         Raises :class:`RankFailureError` when repair is impossible: no
         policy configured, a chunk whose owner *and* buddy are both dead,
         no snapshot captured yet, or (spare policy) an empty spare pool.
         """
-        port = self.port
+        port = ex.port
         dead = port.dead_chunks()
         if not dead:
             return []
@@ -225,14 +230,13 @@ class RankRecovery:
                 )
             snapshots[chunk] = snap
         if self.policy == "spare":
-            return self._recover_spare(dead, snapshots)
-        return self._recover_shrink(dead, snapshots)
+            return self._recover_spare(port, dead, snapshots)
+        return self._recover_shrink(ex, dead, snapshots)
 
-    def _recover_spare(self, dead, snapshots) -> list[str]:
+    def _recover_spare(self, port, dead, snapshots) -> list[str]:
         """Reserve ranks adopt the dead chunks from their buddy copies."""
         from repro.models.base import make_port
 
-        port = self.port
         details = []
         for chunk in dead:
             if not self.spare_pool:
@@ -251,7 +255,7 @@ class RankRecovery:
             # Rebuilds u0/kx/ky from the snapshot density; the snapshot's
             # halo-inclusive arrays carry the neighbour ghosts, so the
             # coefficients come out bit-identical to the originals.
-            executor_for(adopted).run(
+            PlanExecutor(adopted).run(
                 RECOVERY_PLAN,
                 {"dt": port._dt, "coefficient": port._coefficient},
             )
@@ -274,12 +278,12 @@ class RankRecovery:
         port._fixup_internal_edges()
         port.update_halo((F.U,), depth=1)
         snap0 = snapshots[dead[0]]
-        self.capture(snap0.iteration, snap0.step)
+        self.capture(port, snap0.iteration, snap0.step)
         return details
 
-    def _recover_shrink(self, dead, snapshots) -> list[str]:
+    def _recover_shrink(self, ex, dead, snapshots) -> list[str]:
         """Re-decompose the global mesh over the survivors."""
-        port = self.port
+        port = ex.port
         survivors = [c for c in range(port.nchunks) if c not in dead]
         models = [port.models[c] for c in survivors]
         globals_ = assemble_global(port.grid, port.windows, snapshots)
@@ -288,10 +292,10 @@ class RankRecovery:
         port._rebuild(len(survivors), models)
         port.set_state(globals_[F.DENSITY], globals_[F.ENERGY0])
         port.write_field(F.ENERGY1, globals_[F.ENERGY1])
-        # _rebuild mutates the ensemble in place, so the executor the
-        # driver attached (fusion + resilience instrumentation included)
-        # replays the same compiled bootstrap plan over the new layout.
-        executor_for(port).run(
+        # _rebuild mutates the ensemble in place, so the run's executor
+        # (fusion + resilience instrumentation included) replays the same
+        # compiled bootstrap plan over the new layout.
+        ex.run(
             RECOVERY_PLAN,
             {"dt": port._dt, "coefficient": port._coefficient},
         )
@@ -299,7 +303,7 @@ class RankRecovery:
         port.update_halo((F.U,), depth=1)
         self.spare_pool = []
         self.store = BuddyStore(port.nchunks)
-        self.capture(snap0.iteration, snap0.step)
+        self.capture(port, snap0.iteration, snap0.step)
         return [
             f"shrunk ensemble {old_n}->{port.nchunks} ranks: "
             f"re-decomposed {port.grid.nx}x{port.grid.ny} mesh over the "

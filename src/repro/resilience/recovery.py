@@ -341,16 +341,18 @@ class ResilienceManager:
                     f"({per_rank})",
                 )
 
-    def repair_ranks(self, port) -> bool:
-        """Recover dead chunks via the port's rank policy, if it has one.
+    def repair_ranks(self, ex) -> bool:
+        """Recover dead chunks via ``ex.port``'s rank policy, if it has one.
 
-        Returns False when the port has no rank-recovery machinery (a
-        single-chunk run) or nothing is dead; raises
-        :class:`RankFailureError` when the configured policy cannot repair
-        the ensemble.  On success the whole ensemble has been rolled back
-        to the buddy-snapshot cut, so the caller must *not* also restore a
-        global checkpoint on top.
+        ``ex`` is the run's executor: shrink recovery replays its
+        bootstrap plan through it.  Returns False when the port has no
+        rank-recovery machinery (a single-chunk run) or nothing is dead;
+        raises :class:`RankFailureError` when the configured policy
+        cannot repair the ensemble.  On success the whole ensemble has
+        been rolled back to the buddy-snapshot cut, so the caller must
+        *not* also restore a global checkpoint on top.
         """
+        port = ex.port
         recover = getattr(port, "recover_ranks", None)
         if recover is None:
             return False
@@ -363,7 +365,7 @@ class ResilienceManager:
                 f"chunk {chunk} lost: rank {port.rank_of_chunk[chunk]} "
                 "is fail-stop dead",
             )
-        for detail in recover():
+        for detail in recover(ex):
             self.record(
                 RANK_RECOVERY, f"policy={port.rank_policy}: {detail}"
             )
@@ -420,25 +422,20 @@ class ResilientSolver(Solver):
         # Seam for eigenvalue-corruption injection (cheby/ppcg bootstrap).
         inner.eigen_filter = manager.eigen_filter
 
-    def solve(self, port, deck: Deck) -> SolveResult:
+    def solve(self, ex, deck: Deck) -> SolveResult:
+        """Solve through ``ex``, which the driver built with this solver's
+        manager: fault triggers and scalar guards are steps of its
+        instrumented plans, so they survive fusion and never bypass
+        residency tracking."""
         m = self.manager
-        # Ensure the executor the solver will pick up (executor_for) runs
-        # the *instrumented* plan variant with our manager: fault triggers
-        # and scalar guards are plan steps, so they survive fusion and
-        # never bypass residency tracking.
-        from repro.models.plan import PlanExecutor, executor_for
-
-        ex = executor_for(port)
-        if getattr(ex, "resilience", None) is not m:
-            ex = PlanExecutor(port, fuse=ex.fuse, resilience=m)
-            port.plan_executor = ex
+        port = ex.port
         m.begin_solve(port)
         solver: Solver = self.inner
         attempt = 0
         attempt_start = m.iteration
         while True:
             try:
-                result = solver.solve(port, deck)
+                result = solver.solve(ex, deck)
                 m.validate_solution(port)
                 return result
             except RECOVERABLE_ERRORS as exc:
@@ -452,7 +449,7 @@ class ResilientSolver(Solver):
                     # Hard fault: repair the ensemble (spare adoption or
                     # shrink) — that already rolled every chunk back to
                     # the buddy-snapshot cut, so skip the global rollback.
-                    if not m.repair_ranks(port):
+                    if not m.repair_ranks(ex):
                         raise
                     m.retry_backoff(attempt)
                     m.monitor.reset()

@@ -148,7 +148,7 @@ class TestSolverHardening:
             inner_iterations=0, error=rr0, initial_residual=rr0,
         )
         with pytest.raises(SolverError, match="breakdown"):
-            CGSolver._preconditioned_iterations(app.port, deck, rr0, result)
+            CGSolver._preconditioned_iterations(app.executor, deck, rr0, result)
 
     def test_non_finite_scalar_raises_corruption_error(self):
         deck = default_deck(n=16, solver="cg", end_step=1)
@@ -162,7 +162,7 @@ class TestSolverHardening:
         u[5, 5] = np.nan
         app.port.write_field(F.U, u)
         with pytest.raises(CorruptionError):
-            app.solver.solve(app.port, deck)
+            app.solver.solve(app.executor, deck)
 
 
 # --------------------------------------------------------------------- #

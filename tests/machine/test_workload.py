@@ -136,3 +136,22 @@ class TestSynthesisGuards:
             synth = synthesize_solve_trace("openmp-f90", deck, wl)
             # one cg_calc_ur per iteration
             assert synth.kernel_histogram()["cg_calc_ur"] == target
+
+
+class TestSynthesisUnderExecutorFlags:
+    """The stub port has no field data, so codegen and overlap fall back
+    to interpreted, synchronous dispatch — the stream a flag-off run
+    synthesizes, not a crash."""
+
+    @pytest.mark.parametrize("flag", ["tl_codegen", "tl_overlap"])
+    @pytest.mark.parametrize("solver", ["cg", "ppcg"])
+    def test_flag_stream_equals_flag_off_stream(self, flag, solver):
+        from dataclasses import replace
+
+        from repro.harness.goldentrace import event_lines
+
+        deck = default_deck(n=16, solver=solver, end_step=1, eps=1e-8)
+        workload = workload_from_run(TeaLeaf(deck, model="cuda").run())
+        off = synthesize_solve_trace("cuda", deck, workload)
+        on = synthesize_solve_trace("cuda", replace(deck, **{flag: True}), workload)
+        assert event_lines(on) == event_lines(off)

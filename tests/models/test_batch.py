@@ -112,12 +112,6 @@ class TestDeckValidation:
                 default_deck(n=16), tl_field_arena=True, tl_resilient=True
             )
 
-    def test_arena_rejects_explicit_solver(self):
-        with pytest.raises(DeckError, match="explicit"):
-            dataclasses.replace(
-                default_deck(n=16), solver="explicit", tl_field_arena=True
-            )
-
     def test_deck_file_flags_parse(self, tmp_path):
         text = DECK.read_text().replace(
             "*endtea", "tl_field_arena\ntl_arena_poison\n*endtea"

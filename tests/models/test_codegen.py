@@ -180,7 +180,6 @@ class TestCodegenCache:
             app = TeaLeaf(deck, model=REFERENCE_MODEL)
             ex = PlanExecutor(app.port, codegen=True)
             app.executor = ex
-            app.port.plan_executor = ex
             result = app.run()
             out[deck.x_cells] = result.steps[-1].summary
         # Same fn object served both grids: nothing grid-specific is baked.

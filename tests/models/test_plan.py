@@ -20,7 +20,6 @@ from repro.models.plan import (
     PlanExecutor,
     ScalarStep,
     check_finite,
-    executor_for,
     fused_spec,
 )
 from repro.util.errors import CorruptionError
@@ -189,7 +188,6 @@ class _RecordingPort:
 
     supports_fusion = False
     has_data_region = False
-    plan_executor = None
 
     def __init__(self):
         self.calls = []
@@ -236,32 +234,6 @@ class TestExecutor:
     def test_fuse_requested_but_port_unsupported(self):
         port = _RecordingPort()
         assert PlanExecutor(port, fuse=True).fuse is False
-
-    def test_executor_for_prefers_attached_executor(self):
-        port = _RecordingPort()
-        attached = PlanExecutor(port)
-        port.plan_executor = attached
-        assert executor_for(port) is attached
-
-    def test_executor_for_bare_port_falls_back_unfused(self):
-        port = _RecordingPort()
-        ex = executor_for(port)
-        assert ex.port is port and ex.fuse is False
-
-    def test_executor_for_rejects_inherited_executor(self):
-        # A delegating proxy (the lockstep harness) exposes the inner
-        # port's executor; reusing it would bypass the proxy.
-        inner = _RecordingPort()
-        inner.plan_executor = PlanExecutor(inner)
-
-        class Proxy:
-            def __getattr__(self, name):
-                return getattr(inner, name)
-
-        proxy = Proxy()
-        ex = executor_for(proxy)
-        assert ex is not inner.plan_executor
-        assert ex.port is proxy
 
 
 class TestFusionAcrossHalos:

@@ -33,6 +33,22 @@ class TestRun:
         assert rc == 0
         assert "16x16" in capsys.readouterr().out
 
+    def test_solver_flag_overrides_deck_file(self, tmp_path, capsys):
+        deck = tmp_path / "tea.in"
+        deck.write_text(
+            "*tea\nstate 1 density=100.0 energy=0.0001\n"
+            "x_cells=8\ny_cells=8\nend_step=1\ntl_eps=1e-8\ntl_use_cg\n*endtea"
+        )
+        assert main(["run", str(deck), "--solver", "jacobi"]) == 0
+        assert "solver=jacobi" in capsys.readouterr().out
+
+    def test_input_error_is_one_line_exit_2(self, capsys):
+        rc = main(["run", "--mesh", "8", "--arena", "--resilient"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("tealeaf run: DeckError: ")
+
 
 class TestModels:
     def test_lists_all(self, capsys):
